@@ -1,49 +1,35 @@
 #!/usr/bin/env python3
-"""Fetch small closed-surface triangulations and convert them to the
+"""Convert census files of small closed-surface triangulations into the
 complex file format, one dataset directory per surface.
 
-The canonical source is the census of vertex-minimal surface
-triangulations hosted on Frank Lutz's simplicial manifold pages
-(https://page.math.tu-berlin.de/~lutz/stellar/).  Files there list each
-triangulation as a bracketed facet list, e.g.
+The census of vertex-minimal surface triangulations on Frank Lutz's
+simplicial manifold pages (https://page.math.tu-berlin.de/~lutz/stellar/)
+lists each triangulation as a bracketed facet list, e.g.
 
     manifold_lex_d2_n8_#4=[[1,2,3],[1,2,4],...,[6,7,8]]
 
-This script accepts either a URL to such a page/file or a local
-directory of already-downloaded files, converts every triangulation it
-finds, and writes a manifest.txt with sha256 checksums so that
-`volrig verify-dataset` and the test suite can consume the result.
+This script reads such a file, or a directory of them, copied to the
+machine by hand.  It converts every triangulation it finds and writes a
+manifest.txt with sha256 checksums, so that `volrig verify-dataset` and
+the test suite can consume the result.  It never uses the network.
 
 Usage:
     python scripts/fetch_surface_data.py --dest ~/surface-data \\
-        --name torus --source https://...            # download
-    python scripts/fetch_surface_data.py --dest ~/surface-data \\
-        --name rp2 --source ./downloads/rp2_raw.txt  # local file
+        --name rp2 --source ./downloads/rp2_raw.txt
     export VOLRIG_DATA=~/surface-data
-
-Without --source the script tries the built-in URL for the given name;
-when the network is unreachable it reports the failure and exits 1
-without touching existing data.
 """
 
 import argparse
 import os
 import re
 import sys
-import urllib.error
-import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from volrig import build_complex
 from volrig.fileio import format_complex, sha256_file, write_complex
 
-PAGE = "https://page.math.tu-berlin.de/~lutz/stellar/"
-DEFAULT_SOURCES = {
-    "rp2": PAGE + "RP2.html",
-    "torus": PAGE + "torus.html",
-    "klein": PAGE + "klein_bottle.html",
-}
+SURFACES = ("klein", "rp2", "torus")
 
 FACET_LIST = re.compile(r"=\s*\[\s*(\[[0-9\s,\[\]]+\])\s*\]")
 TRIPLE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -73,13 +59,7 @@ def read_source(source):
     if os.path.isfile(source):
         with open(source, "r", encoding="utf-8", errors="replace") as fh:
             return fh.read()
-    try:
-        with urllib.request.urlopen(source, timeout=30) as resp:
-            return resp.read().decode("utf-8", errors="replace")
-    except (urllib.error.URLError, OSError) as e:
-        raise SystemExit("could not fetch %s: %s\n"
-                         "download the census file by hand and rerun with "
-                         "--source <path>" % (source, e))
+    raise SystemExit("no such file or directory: %s" % source)
 
 
 def convert(name, raw_text, dest):
@@ -89,7 +69,6 @@ def convert(name, raw_text, dest):
     outdir = os.path.join(dest, name)
     os.makedirs(outdir, exist_ok=True)
     manifest = ["# surface: %s" % name,
-                "# source: %s census" % PAGE,
                 "# converted by scripts/fetch_surface_data.py"]
     for i, facets in enumerate(triangulations):
         n = max(v for f in facets for v in f)
@@ -110,14 +89,12 @@ def main(argv=None):
     ap.add_argument("--dest", required=True,
                     help="dataset root directory (becomes VOLRIG_DATA)")
     ap.add_argument("--name", required=True,
-                    choices=sorted(DEFAULT_SOURCES),
+                    choices=SURFACES,
                     help="which surface dataset to build")
-    ap.add_argument("--source", default=None,
-                    help="census URL, file, or directory "
-                         "(default: built-in URL)")
+    ap.add_argument("--source", required=True,
+                    help="census file, or a directory of census files")
     args = ap.parse_args(argv)
-    source = args.source or DEFAULT_SOURCES[args.name]
-    count, outdir = convert(args.name, read_source(source), args.dest)
+    count, outdir = convert(args.name, read_source(args.source), args.dest)
     print("wrote %d complexes to %s" % (count, outdir))
     print("set VOLRIG_DATA=%s to enable the dataset checks"
           % os.path.abspath(args.dest))

@@ -6,6 +6,7 @@ arithmetic is exact; there is no floating point anywhere in the package.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -76,6 +77,7 @@ class RationalField:
 
     __slots__ = ()
     mode = "rational"
+    q = None
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -123,9 +125,10 @@ def default_field() -> PrimeField:
 class ExactMatrix:
     """Dense matrix over a PrimeField or RationalField.
 
-    Rank, kernel, and determinant routines never mutate the matrix; they
-    run plain Gauss-Jordan elimination on a copy.  At the sizes this
-    package meets (a few hundred rows) that is entirely adequate.
+    Rank, column span, determinant and kernel all come from one routine,
+    _echelon: Gaussian elimination on a copy, in plain Python arithmetic
+    (reduced mod q over a prime field, bare Fraction operators over QQ).
+    Determinants of size 2 and 3 use their closed forms instead.
     """
 
     __slots__ = ("nrows", "ncols", "data", "field")
@@ -178,93 +181,92 @@ class ExactMatrix:
     def col(self, j):
         return [self.data[i][j] for i in range(self.nrows)]
 
+    def _reduce(self, x):
+        q = self.field.q
+        return x % q if q else x
+
+    def _dot(self, a, b):
+        return self._reduce(sum(map(operator.mul, a, b), self.field.zero))
+
     def mul_vec(self, vec):
         if len(vec) != self.ncols:
             raise DimensionMismatch("vector length %d, matrix has %d columns"
                                     % (len(vec), self.ncols))
-        f = self.field
-        out = []
-        for row in self.data:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                if a != 0 and x != 0:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
+        return [self._dot(row, vec) for row in self.data]
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows or self.field != other.field:
             raise DimensionMismatch("matmul shape mismatch")
-        f = self.field
-        ot = other.transpose()
-        data = []
-        for row in self.data:
-            out = []
-            for colv in ot.data:
-                acc = f.zero
-                for a, b in zip(row, colv):
-                    if a != 0 and b != 0:
-                        acc = f.add(acc, f.mul(a, b))
-                out.append(acc)
-            data.append(out)
-        return ExactMatrix(data, f, _trusted=True)
+        cols = other.transpose().data
+        data = [[self._dot(row, colv) for colv in cols] for row in self.data]
+        return ExactMatrix(data, self.field, _trusted=True)
 
-    def _rref(self):
-        """Reduced row echelon form of a working copy.
+    def _echelon(self, reduced=False):
+        """Gaussian elimination on a working copy; the one elimination
+        routine behind rank, span, determinant and kernel.
 
-        Returns (rows, pivot_cols); rows[r] has its pivot in pivot_cols[r]
-        and zero rows are dropped.
+        Returns (rows, pivots, det): rows[r] leads with a one in column
+        pivots[r], zero rows are dropped, and det is the product of the
+        pivots found, negated once per row swap (for a square matrix of
+        full rank, its determinant).  Only rows below each pivot are
+        cleared, unless reduced=True asks for the reduced echelon form.
         """
-        f = self.field
+        q = self.field.q
+        inv = self.field.inv
         rows = [row[:] for row in self.data]
         nrows, ncols = self.nrows, self.ncols
         pivots = []
-        r = 0
+        det = self.field.one
         for c in range(ncols):
-            p = None
-            for i in range(r, nrows):
-                if rows[i][c] != 0:
-                    p = i
-                    break
-            if p is None:
-                continue
-            rows[r], rows[p] = rows[p], rows[r]
-            pivrow = rows[r]
-            inv = f.inv(pivrow[c])
-            if inv != f.one:
-                for j in range(c, ncols):
-                    if pivrow[j] != 0:
-                        pivrow[j] = f.mul(pivrow[j], inv)
-            for i in range(nrows):
-                if i != r and rows[i][c] != 0:
-                    fac = rows[i][c]
-                    cur = rows[i]
-                    for j in range(c, ncols):
-                        if pivrow[j] != 0:
-                            cur[j] = f.sub(cur[j], f.mul(fac, pivrow[j]))
-            pivots.append(c)
-            r += 1
+            r = len(pivots)
             if r == nrows:
                 break
-        return rows[:r], pivots
+            p = next((i for i in range(r, nrows) if rows[i][c]), None)
+            if p is None:
+                continue
+            if p != r:
+                rows[r], rows[p] = rows[p], rows[r]
+                det = -det
+            piv = rows[r]
+            lead = piv[c]
+            det = self._reduce(det * lead)
+            scale = inv(lead)
+            nz = [j for j in range(c, ncols) if piv[j]]
+            for j in nz:
+                piv[j] = self._reduce(piv[j] * scale)
+            terms = [(j, piv[j]) for j in nz]
+            for i in range(0 if reduced else r + 1, nrows):
+                row = rows[i]
+                fac = row[c]
+                if not fac or i == r:
+                    continue
+                if q:
+                    for j, x in terms:
+                        row[j] = (row[j] - fac * x) % q
+                else:
+                    for j, x in terms:
+                        row[j] -= fac * x
+            pivots.append(c)
+        return rows[:len(pivots)], pivots, det
 
     def rank(self) -> int:
-        return len(self._rref()[1])
+        return len(self._echelon()[1])
 
     def in_column_span(self, vec) -> bool:
         """Whether vec is a linear combination of this matrix's columns."""
         if len(vec) != self.nrows:
             raise DimensionMismatch("vector length %d, matrix has %d rows"
                                     % (len(vec), self.nrows))
-        aug = ExactMatrix([self.data[i] + [self.field.of(vec[i])]
-                           for i in range(self.nrows)], self.field, _trusted=True)
-        _, pivots = aug._rref()
-        return self.ncols not in pivots
+        of = self.field.of
+        aug = ExactMatrix([row + [of(x)] for row, x in zip(self.data, vec)],
+                          self.field, _trusted=True)
+        pivots = aug._echelon()[1]
+        return not pivots or pivots[-1] != self.ncols
 
     def right_kernel(self) -> "ExactMatrix":
         """Basis of the null space, one basis vector per column."""
         f = self.field
-        rows, pivots = self._rref()
+        rows, pivots, _ = self._echelon(reduced=True)
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis_cols = []
@@ -273,7 +275,7 @@ class ExactMatrix:
             v[fc] = f.one
             for r, pc in enumerate(pivots):
                 if rows[r][fc] != 0:
-                    v[pc] = f.neg(rows[r][fc])
+                    v[pc] = self._reduce(-rows[r][fc])
             basis_cols.append(v)
         if not basis_cols:
             return ExactMatrix([[] for _ in range(self.ncols)], f, _trusted=True)
@@ -288,56 +290,23 @@ class ExactMatrix:
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a %dx%d matrix"
                                     % (self.nrows, self.ncols))
-        f = self.field
-        n = self.nrows
         d = self.data
-        if n == 0:
-            return f.one
-        if n == 1:
-            return d[0][0]
-        if n == 2:
-            return f.sub(f.mul(d[0][0], d[1][1]), f.mul(d[0][1], d[1][0]))
-        if n == 3:
-            pos = f.add(f.add(f.mul(d[0][0], f.mul(d[1][1], d[2][2])),
-                              f.mul(d[0][1], f.mul(d[1][2], d[2][0]))),
-                        f.mul(d[0][2], f.mul(d[1][0], d[2][1])))
-            neg = f.add(f.add(f.mul(d[0][2], f.mul(d[1][1], d[2][0])),
-                              f.mul(d[0][1], f.mul(d[1][0], d[2][2]))),
-                        f.mul(d[0][0], f.mul(d[1][2], d[2][1])))
-            return f.sub(pos, neg)
-        rows = [row[:] for row in d]
-        det = f.one
-        for c in range(n):
-            p = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    p = i
-                    break
-            if p is None:
-                return f.zero
-            if p != c:
-                rows[c], rows[p] = rows[p], rows[c]
-                det = f.neg(det)
-            piv = rows[c][c]
-            det = f.mul(det, piv)
-            inv = f.inv(piv)
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    fac = f.mul(rows[i][c], inv)
-                    cur = rows[i]
-                    for j in range(c, n):
-                        if rows[c][j] != 0:
-                            cur[j] = f.sub(cur[j], f.mul(fac, rows[c][j]))
-        return det
+        if self.nrows == 2:
+            return self._reduce(d[0][0] * d[1][1] - d[0][1] * d[1][0])
+        if self.nrows == 3:
+            return self._reduce(
+                d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
+                - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
+                + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0]))
+        _, pivots, det = self._echelon()
+        return det if len(pivots) == self.nrows else self.field.zero
 
     def cofactor(self, i: int, j: int):
         """Signed minor (-1)^(i+j) det(M without row i, column j); 0-based."""
         idx_r = [r for r in range(self.nrows) if r != i]
         idx_c = [c for c in range(self.ncols) if c != j]
         minor = self.submatrix(idx_r, idx_c).det()
-        if (i + j) % 2:
-            return self.field.neg(minor)
-        return minor
+        return self._reduce(-minor) if (i + j) % 2 else minor
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and other.field == self.field

@@ -168,8 +168,11 @@ def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
     """Max rank of the rigidity matrix over seeded random placements.
 
     A special placement can only lower the rank, so the max over trials
-    underestimates the generic rank with one-sided error roughly
-    bounded by trials * (matrix size) / field size per trial.
+    can only underestimate the generic rank.  Each matrix entry is a
+    cofactor of degree d-2 in the coordinates, so a rank-r minor has
+    degree at most r(d-2); by Schwartz-Zippel one trial misses rank r
+    with probability at most r(d-2)/q, and all t independent trials miss
+    with probability at most (r(d-2)/q)^t.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")

@@ -121,21 +121,43 @@ def _predecessors(sigma, n: int, order: str) -> list:
     raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
 
 
+def _span_matrix(vectors, field) -> ExactMatrix:
+    """The matrix whose columns are the given equal-length vectors."""
+    return ExactMatrix([list(row) for row in zip(*vectors)], field,
+                       _trusted=True)
+
+
 def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
                       order: str = "p") -> bool:
     """Definitional membership test: does the compound vector of sigma
     escape the span of the vectors of all its order-predecessors?"""
     sigma = as_face(sigma)
     vec = compound_vector(basis, K, sigma)
-    if all(x == 0 for x in vec):
+    if not any(vec):
         return False
     preds = _predecessors(sigma, basis.n, order)
     if not preds:
         return True
     cols = [compound_vector(basis, K, t) for t in preds]
-    m = ExactMatrix([[c[i] for c in cols] for i in range(len(vec))],
-                    basis.field, _trusted=True)
-    return not m.in_column_span(vec)
+    return not _span_matrix(cols, basis.field).in_column_span(vec)
+
+
+def _members(K: SimplicialComplex, basis: GenericBasis, sets,
+             relevant) -> list:
+    """The sets, taken in the given order, whose nonzero compound vector
+    escapes the span of the vectors of the earlier members m with
+    relevant(m, sigma); sorted lex."""
+    members, vecs = [], []
+    for sigma in sets:
+        vec = compound_vector(basis, K, sigma)
+        if not any(vec):
+            continue
+        cols = [v for m, v in zip(members, vecs) if relevant(m, sigma)]
+        if cols and _span_matrix(cols, basis.field).in_column_span(vec):
+            continue
+        members.append(sigma)
+        vecs.append(vec)
+    return sorted(members)
 
 
 def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
@@ -151,17 +173,7 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
     order_list = [as_face(t) for t in face_order]
     if len(order_list) != len(expected) or set(order_list) != expected:
         raise BadParameters("face_order must enumerate all size-%d subsets" % k)
-    members = []
-    span = None
-    for sigma in order_list:
-        vec = compound_vector(basis, K, sigma)
-        if all(x == 0 for x in vec):
-            continue
-        if span is None or not span.in_column_span(vec):
-            members.append(sigma)
-            col = ExactMatrix.column(vec, basis.field)
-            span = col if span is None else span.hstack(col)
-    return sorted(members)
+    return _members(K, basis, order_list, lambda m, sigma: True)
 
 
 def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
@@ -179,22 +191,8 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
             K, k, basis, combinations(range(1, basis.n + 1), k))
     if order != "p":
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
-    members = []
-    member_cols = []
-    for sigma in combinations(range(1, basis.n + 1), k):
-        vec = compound_vector(basis, K, sigma)
-        if all(x == 0 for x in vec):
-            continue
-        cols = [c for m, c in zip(members, member_cols)
-                if componentwise_leq(m, sigma)]
-        if cols:
-            mat = ExactMatrix([[c[i] for c in cols] for i in range(len(vec))],
-                              basis.field, _trusted=True)
-            if mat.in_column_span(vec):
-                continue
-        members.append(sigma)
-        member_cols.append(vec)
-    return sorted(members)
+    return _members(K, basis, combinations(range(1, basis.n + 1), k),
+                    componentwise_leq)
 
 
 def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",
@@ -238,22 +236,36 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
                               seed: int = 0, field=None) -> MembershipReport:
     """Does the characteristic face sit in the shifted family of K?
 
-    Membership is ORed over independently seeded bases: a degenerate
-    basis can only create a spurious linear dependence, never break one,
-    so false negatives are the only sampling failure.
+    The face is a member when its compound vector raises the rank of the
+    vectors of its predecessors.  A degenerate basis can lower either
+    rank, so a single basis can err either way; the verdict compares the
+    best ranks over all trials, max rank(preds + face) > max rank(preds),
+    and per_trial keeps each basis's own vote.  A basis's two ranks
+    differ by its vote, so unanimous votes settle the comparison alone;
+    mixed votes also need each basis's predecessor rank.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     if field is None:
         field = default_field()
     face = characteristic_face(K.d, K.n)
-    votes = []
-    for t in range(trials):
-        basis = generic_basis(K.n, seed + t, field=field)
-        votes.append(in_shifted_family(K, face, basis, order="p"))
+    votes = tuple(in_shifted_family(K, face, generic_basis(K.n, seed + t,
+                                                           field=field))
+                  for t in range(trials))
+    member = all(votes)
+    if any(votes) and not member:
+        preds = _predecessors(face, K.n, "p")
+        ranks = []
+        for t in range(trials):
+            basis = generic_basis(K.n, seed + t, field=field)
+            cols = [compound_vector(basis, K, s) for s in preds]
+            ranks.append(_span_matrix(cols, field).rank())
+        # The best rank with the face exceeds the best without it exactly
+        # when a basis voting yes reaches the best predecessor rank.
+        member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)
     return MembershipReport(
-        n=K.n, d=K.d, face=face, member=any(votes),
-        trials=trials, seed=seed, per_trial=tuple(votes),
+        n=K.n, d=K.d, face=face, member=member,
+        trials=trials, seed=seed, per_trial=votes,
         arithmetic=field.describe())
 
 

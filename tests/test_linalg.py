@@ -98,16 +98,16 @@ def test_outer_product_rank_one():
 
 
 def test_det_against_permutation_oracle():
+    # GF(7) makes zero pivots, row swaps and singular matrices common.
     rng = random.Random(11)
-    for size in (1, 2, 3, 4, 5):
+    for size in (1, 2, 3, 4, 5, 6):
         for _ in range(8):
             rows = [[rng.randrange(-6, 7) for _ in range(size)]
                     for _ in range(size)]
             want = permutation_det(rows)
-            got_q = ExactMatrix(rows, QQ).det()
-            got_p = ExactMatrix(rows, GF).det()
-            assert got_q == want
-            assert got_p == want % GF.q
+            assert ExactMatrix(rows, QQ).det() == want
+            for f in (GF, PrimeField(7)):
+                assert ExactMatrix(rows, f).det() == want % f.q
 
 
 def test_det_empty_matrix_is_one():
@@ -135,9 +135,10 @@ def test_rank_transpose_invariant(rows):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 31), st.integers(2, 7), st.integers(2, 7))
-def test_right_kernel_annihilates(seed, r, c):
-    m = sample_generic_matrix(r, c, seed)
+@given(st.integers(0, 2 ** 31), st.integers(2, 7), st.integers(2, 7),
+       st.sampled_from([DEFAULT_PRIME, 2, 7]))
+def test_right_kernel_annihilates(seed, r, c, q):
+    m = sample_generic_matrix(r, c, seed, field=PrimeField(q))
     ker = m.right_kernel()
     assert m.rank() + ker.ncols == c
     for j in range(ker.ncols):

@@ -9,15 +9,15 @@ from helpers import (cone_with_smallest_apex, fresh_rng, random_complex,
 from volrig import (build_complex, complete_complex, cone)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            SizeExceedsDimension)
-from volrig.linalg import ExactMatrix, default_field
-from volrig.rigidity import rigidity_matrix, simplex_matrix
+from volrig.linalg import ExactMatrix, PrimeField, default_field
+from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
 from volrig.shifting import (characteristic_face, characteristic_membership,
                              characteristic_prefix, componentwise_leq,
                              compound_vector, generic_basis,
                              in_shifted_family, placement_from_basis,
                              shifted_level, shifted_level_ordered,
                              shifted_level_stable, wedge_map_matrix)
-from volrig.sparsity import bipartite_complete_graph
+from volrig.sparsity import bipartite_complete_graph, build_counterexample
 
 GF = default_field()
 
@@ -118,14 +118,17 @@ def test_shifted_complex_is_fixed_point():
 
 
 def test_level_membership_matches_definitional_test():
-    # The streaming computation must agree with the one-face predicate.
-    rng = fresh_rng(17)
-    for _ in range(5):
-        K = random_complex(rng, 5, 3)
-        b = generic_basis(5, seed=rng.randrange(10 ** 6))
-        level = set(shifted_level(K, 3, b))
-        for sigma in combinations(range(1, 6), 3):
-            assert (sigma in level) == in_shifted_family(K, sigma, b)
+    # The streaming computation must agree with the one-face predicate,
+    # in both orders, since both run through the same member loop.
+    for order in ("p", "lex"):
+        rng = fresh_rng(17)
+        for _ in range(5):
+            K = random_complex(rng, 5, 3)
+            b = generic_basis(5, seed=rng.randrange(10 ** 6))
+            level = set(shifted_level(K, 3, b, order))
+            for sigma in combinations(range(1, 6), 3):
+                assert (sigma in level) == in_shifted_family(K, sigma, b,
+                                                             order)
 
 
 def test_lex_level_preserves_facet_count():
@@ -216,6 +219,22 @@ def test_characteristic_membership_verdicts():
     assert rep.per_trial == (False, False, False)
     with pytest.raises(BadParameters):
         characteristic_membership(build_complex(3, [(1, 2, 3)]))
+
+
+def test_characteristic_membership_small_field_no_false_positive():
+    # Over GF(13) the tenth basis votes "member" for this flexible
+    # complex only because it drops its predecessor rank from 8 to 7;
+    # with the face it reaches 8, no more than the other bases.  ORing
+    # the votes used to report a member.
+    small = PrimeField(13)
+    rep = characteristic_membership(build_counterexample(3), trials=10,
+                                    seed=0, field=small)
+    assert any(rep.per_trial)
+    assert not rep.member
+    assert not is_volume_rigid(build_counterexample(3), trials=10,
+                               field=small)
+    assert characteristic_membership(tetra(), trials=10, seed=0,
+                                     field=small).member
 
 
 def test_wedge_matrix_rank_and_kernel():
