@@ -25,8 +25,8 @@ from .errors import VolrigError
 from .fileio import dataset_root, load_dataset, read_complex, write_complex
 from .linalg import PRIME_TABLE, QQ, PrimeField
 from .rigidity import generic_rank, rational_rank
-from .shifting import (characteristic_membership, generic_basis,
-                       shifted_level_stable, wedge_map_matrix)
+from .shifting import (characteristic_membership, check_dense_size,
+                       generic_basis, shifted_level_stable, wedge_map_matrix)
 from .sparsity import (SparsityParams, build_counterexample,
                        complete_to_sparse_basis, is_sparse, is_tight)
 
@@ -130,6 +130,9 @@ def _cmd_sigma0(args, field):
 
 
 def _cmd_psi(args, field):
+    if 2 <= args.d <= args.n:
+        check_dense_size(comb(args.n, args.d), (args.d - 1) * args.n,
+                         "wedge map matrix")
     best = 0
     for t in range(args.trials):
         basis = generic_basis(args.n, seed=args.seed + t, field=field)

@@ -70,7 +70,8 @@ class GenericityFailure(VolrigError):
 
 
 class InstanceTooLarge(VolrigError):
-    """Exhaustive sparsity checking refused an oversized instance."""
+    """An instance exceeds a size cap: the brute-force sparsity scan, or
+    the dense matrices of shifting and the wedge map."""
 
 
 class NotSparse(VolrigError):

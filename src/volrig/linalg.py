@@ -230,16 +230,21 @@ class ExactMatrix:
             piv = rows[r]
             lead = piv[c]
             det = self._reduce(det * lead)
-            scale = inv(lead)
-            nz = [j for j in range(c, ncols) if piv[j]]
-            for j in nz:
-                piv[j] = self._reduce(piv[j] * scale)
-            terms = [(j, piv[j]) for j in nz]
+            if lead != 1:
+                scale = inv(lead)
+                for j in range(c, ncols):
+                    if piv[j]:
+                        piv[j] = self._reduce(piv[j] * scale)
+            # Rows that are already in echelon form (spans extended by one
+            # vector) have unit pivots and often nothing left to clear.
+            terms = None
             for i in range(0 if reduced else r + 1, nrows):
                 row = rows[i]
                 fac = row[c]
                 if not fac or i == r:
                     continue
+                if terms is None:
+                    terms = [(j, piv[j]) for j in range(c, ncols) if piv[j]]
                 if q:
                     for j, x in terms:
                         row[j] = (row[j] - fac * x) % q

@@ -12,12 +12,13 @@ vectors of all strictly smaller sets, in the chosen order on sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
+from math import comb
 
 from .complexes import SimplicialComplex, as_face, k_faces
-from .errors import (BadParameters, DimensionMismatch, SingularBasis,
-                     SizeExceedsDimension, VertexOutOfRange)
+from .errors import (BadParameters, DimensionMismatch, InstanceTooLarge,
+                     SingularBasis, SizeExceedsDimension, VertexOutOfRange)
 from .linalg import ExactMatrix, default_field, sample_generic_matrix
 from .rigidity import Placement
 
@@ -25,6 +26,22 @@ from .rigidity import Placement
 # distinct attempts and distinct base seeds from colliding.
 _RESEED_SHIFT = 32
 _MAX_ATTEMPTS = 16
+
+# Largest dense matrix, in entries, that sigma0, shift and psi will build:
+# the n x n generic basis, and for psi also the C(n,d) x (d-1)n wedge
+# matrix.  On a 2-core VM (Python 3.11) sampling and checking an n = 500
+# basis (250k entries) took 15 s and 67 MB, growing as n^3; a 250k-entry
+# wedge matrix builds and eliminates in under a second.  The benchmark's
+# largest are a 576-entry basis and a 3402-entry wedge matrix.
+MAX_DENSE_ENTRIES = 250_000
+
+
+def check_dense_size(nrows: int, ncols: int, what: str) -> None:
+    """Refuse, before allocating anything, a dense matrix too large to
+    build and eliminate in reasonable time and memory."""
+    if nrows * ncols > MAX_DENSE_ENTRIES:
+        raise InstanceTooLarge("%s would be %d x %d, above the %d-entry limit"
+                               % (what, nrows, ncols, MAX_DENSE_ENTRIES))
 
 
 @dataclass(frozen=True)
@@ -38,15 +55,44 @@ class GenericBasis:
     n: int
     seed: int
     matrix: ExactMatrix
+    _minors: dict = dataclass_field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     @property
     def field(self):
         return self.matrix.field
 
+    def minor(self, rows, cols):
+        """det of the basis matrix restricted to the given 0-based row and
+        column index tuples.
+
+        Up to 3 x 3 this is the closed form of ExactMatrix.det.  Larger
+        minors expand along their last column into (k-1)-minors, which are
+        memoised on this basis: the compound coordinates of sets sharing
+        all but their last label share those subminors.
+        """
+        if len(cols) <= 3:
+            return self.matrix.submatrix(rows, cols).det()
+        a = self.matrix.data
+        last, head = cols[-1], cols[:-1]
+        memo = self._minors
+        total = 0
+        for i, r in enumerate(rows):
+            x = a[r][last]
+            if not x:
+                continue
+            sub = rows[:i] + rows[i + 1:]
+            m = memo.get((sub, head))
+            if m is None:
+                m = memo[sub, head] = self.minor(sub, head)
+            total += -x * m if (len(rows) - 1 - i) % 2 else x * m
+        return self.field.of(total)
+
 
 def generic_basis(n: int, seed: int = 0, field=None) -> GenericBasis:
     if n < 1:
         raise BadParameters("need at least one vertex")
+    check_dense_size(n, n, "generic basis")
     if field is None:
         field = default_field()
     for attempt in range(_MAX_ATTEMPTS):
@@ -105,17 +151,19 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
     if K.n != basis.n:
         raise DimensionMismatch("complex has n=%d, basis has n=%d"
                                 % (K.n, basis.n))
-    a = basis.matrix
-    cols = [s - 1 for s in sigma]
-    return [a.submatrix([t - 1 for t in tau], cols).det()
+    cols = tuple(s - 1 for s in sigma)
+    return [basis.minor(tuple(t - 1 for t in tau), cols)
             for tau in k_faces(K, k - 1)]
 
 
 def _predecessors(sigma, n: int, order: str) -> list:
+    """The size-k sets strictly below sigma in the order, sorted lex."""
     k = len(sigma)
     if order == "p":
-        return [t for t in combinations(range(1, n + 1), k)
-                if t != sigma and componentwise_leq(t, sigma)]
+        if k >= 3 and n > k and sigma == characteristic_face(k, n):
+            return characteristic_prefix(k, n)[:-1]
+        return [t for t in combinations(range(1, sigma[-1] + 1), k)
+                if t != sigma and all(a <= b for a, b in zip(t, sigma))]
     if order == "lex":
         return [t for t in combinations(range(1, n + 1), k) if t < sigma]
     raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
@@ -142,22 +190,11 @@ def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
     return not _span_matrix(cols, basis.field).in_column_span(vec)
 
 
-def _members(K: SimplicialComplex, basis: GenericBasis, sets,
-             relevant) -> list:
-    """The sets, taken in the given order, whose nonzero compound vector
-    escapes the span of the vectors of the earlier members m with
-    relevant(m, sigma); sorted lex."""
-    members, vecs = [], []
-    for sigma in sets:
-        vec = compound_vector(basis, K, sigma)
-        if not any(vec):
-            continue
-        cols = [v for m, v in zip(members, vecs) if relevant(m, sigma)]
-        if cols and _span_matrix(cols, basis.field).in_column_span(vec):
-            continue
-        members.append(sigma)
-        vecs.append(vec)
-    return sorted(members)
+def _span_rows(vectors: list, field) -> list:
+    """Echelon rows spanning the given vectors.  Given independent rows
+    plus one vector, the result is one row longer exactly when the
+    vector escapes the span of the rows."""
+    return ExactMatrix(vectors, field, _trusted=True)._echelon()[0]
 
 
 def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
@@ -166,24 +203,51 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
 
     face_order must list every size-k subset of the label range exactly
     once.  A greedy streaming test suffices for total orders: the span
-    of all earlier vectors equals the span of the earlier members.
+    of all earlier vectors equals the span of the earlier members, kept
+    here as the echelon rows of the members found so far.
     """
     _check_level(K, k)
     expected = set(combinations(range(1, basis.n + 1), k))
     order_list = [as_face(t) for t in face_order]
     if len(order_list) != len(expected) or set(order_list) != expected:
         raise BadParameters("face_order must enumerate all size-%d subsets" % k)
-    return _members(K, basis, order_list, lambda m, sigma: True)
+    members, rows = [], []
+    for sigma in order_list:
+        vec = compound_vector(basis, K, sigma)
+        if any(vec):
+            grown = _span_rows(rows + [vec], basis.field)
+            if len(grown) > len(rows):
+                members.append(sigma)
+                rows = grown
+    return sorted(members)
+
+
+def _covers(sigma):
+    """The sets just below sigma: one entry lowered by one."""
+    for i, s in enumerate(sigma):
+        if s - 1 > (sigma[i - 1] if i else 0):
+            yield sigma[:i] + (s - 1,) + sigma[i + 1:]
 
 
 def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
                   order: str = "p") -> list:
     """All size-k members of the shifted family, sorted lex.
 
-    For the partial order, each set is tested against the members among
-    its predecessors only; the span of all predecessors coincides with
-    the span of the member predecessors (induction along the order), so
-    this is the definitional test, just cheaper.
+    For the partial order the sets are walked in lex order, which extends
+    the partial order, so each set comes after its whole down-set.  The
+    span of a down-set's vectors is the span of the vectors of the
+    members in it (induction along the order: a non-member's vector lies
+    in the span of its own strict down-set).  Each set keeps the echelon
+    rows of the span of its closed down-set and the members that down-set
+    holds.  A set's strict down-set is the union of the closed down-sets
+    of its covers (the set with one entry lowered by one), so its span is
+    the span of the largest cover's rows plus the vectors of the members
+    only the other covers hold; the set is a member when its vector
+    escapes that span.  This is the definitional test of
+    in_shifted_family, with one or two eliminations per set instead of a
+    span matrix of all predecessors.  Covers share the set's first label
+    or the one before, so memoised spans are dropped once the first
+    label has moved two past theirs.
     """
     _check_level(K, k)
     if order == "lex":
@@ -191,8 +255,28 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
             K, k, basis, combinations(range(1, basis.n + 1), k))
     if order != "p":
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
-    return _members(K, basis, combinations(range(1, basis.n + 1), k),
-                    componentwise_leq)
+    f = basis.field
+    vecs = {}
+    first, prev, cur = 1, {}, {}
+    for sigma in combinations(range(1, basis.n + 1), k):
+        if sigma[0] != first:
+            first, prev, cur = sigma[0], cur, {}
+        spans = [(cur if tau[0] == first else prev)[tau]
+                 for tau in _covers(sigma)]
+        rows, members = max(spans, key=lambda s: len(s[0]),
+                            default=([], frozenset()))
+        extra = sorted(frozenset().union(*(m for _, m in spans)) - members)
+        if extra:
+            rows = _span_rows(rows + [vecs[m] for m in extra], f)
+            members = members.union(extra)
+        vec = compound_vector(basis, K, sigma)
+        if any(vec):
+            grown = _span_rows(rows + [vec], f)
+            if len(grown) > len(rows):
+                rows, members = grown, members | {sigma}
+                vecs[sigma] = vec
+        cur[sigma] = (rows, members)
+    return sorted(vecs)
 
 
 def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",
@@ -242,24 +326,22 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
     best ranks over all trials, max rank(preds + face) > max rank(preds),
     and per_trial keeps each basis's own vote.  A basis's two ranks
     differ by its vote, so unanimous votes settle the comparison alone;
-    mixed votes also need each basis's predecessor rank.
+    mixed votes also need each basis's predecessor rank, taken from the
+    same bases.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     if field is None:
         field = default_field()
     face = characteristic_face(K.d, K.n)
-    votes = tuple(in_shifted_family(K, face, generic_basis(K.n, seed + t,
-                                                           field=field))
-                  for t in range(trials))
+    bases = [generic_basis(K.n, seed + t, field=field) for t in range(trials)]
+    votes = tuple(in_shifted_family(K, face, b) for b in bases)
     member = all(votes)
     if any(votes) and not member:
         preds = _predecessors(face, K.n, "p")
-        ranks = []
-        for t in range(trials):
-            basis = generic_basis(K.n, seed + t, field=field)
-            cols = [compound_vector(basis, K, s) for s in preds]
-            ranks.append(_span_matrix(cols, field).rank())
+        ranks = [_span_matrix([compound_vector(b, K, s) for s in preds],
+                              field).rank()
+                 for b in bases]
         # The best rank with the face exceeds the best without it exactly
         # when a basis voting yes reaches the best predecessor rank.
         member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)
@@ -283,6 +365,7 @@ def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:
     if d < 2 or d > n:
         raise BadParameters("need 2 <= d <= n, got d=%d n=%d" % (d, n))
     if faces is None:
+        check_dense_size(comb(n, d), (d - 1) * n, "wedge map matrix")
         rows = list(combinations(range(1, n + 1), d))
     else:
         rows = [as_face(s) for s in faces]
@@ -291,15 +374,14 @@ def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:
                 raise DimensionMismatch("row face %r is not size %d" % (s, d))
             if s[-1] > n:
                 raise VertexOutOfRange("row face %r exceeds n=%d" % (s, n))
-    a = basis.matrix
     f = basis.field
     out = ExactMatrix.zeros(len(rows), (d - 1) * n, f)
     for r, sigma in enumerate(rows):
         for t, v in enumerate(sigma, start=1):
-            sub_rows = [u - 1 for u in sigma if u != v]
+            sub_rows = tuple(u - 1 for u in sigma if u != v)
             for i in range(2, d + 1):
-                sub_cols = [c - 1 for c in range(1, d + 1) if c != i]
-                val = a.submatrix(sub_rows, sub_cols).det()
+                sub_cols = tuple(c - 1 for c in range(1, d + 1) if c != i)
+                val = basis.minor(sub_rows, sub_cols)
                 if (d - t) % 2:
                     val = f.neg(val)
                 out.data[r][(i - 2) * n + (v - 1)] = val

@@ -222,6 +222,23 @@ def test_cli_psi():
     assert "rank 5 kernel 5" in text
 
 
+def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a basis for an oversized instance")
+
+    monkeypatch.setattr("volrig.shifting.sample_generic_matrix", no_sampling)
+    path = os.path.join(tmp_path, "huge.txt")
+    with open(path, "w") as fh:
+        fh.write("100000 3\n1 2 3\n")
+    for argv in (["psi", "--d", "3", "--n", "100000"],
+                 ["psi", "--d", "6", "--n", "60"],
+                 ["sigma0", "--in", path],
+                 ["shift", "--in", path]):
+        code, text = run_command(argv)
+        assert code == 2
+        assert text.startswith("error: ") and "entry limit" in text
+
+
 def test_cli_sparsity(tetra_file):
     code, text = run_command(["sparsity", "--in", tetra_file])
     assert code == 1

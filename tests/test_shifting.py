@@ -11,7 +11,8 @@ from volrig.errors import (BadParameters, DimensionMismatch,
                            SizeExceedsDimension)
 from volrig.linalg import ExactMatrix, PrimeField, default_field
 from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
-from volrig.shifting import (characteristic_face, characteristic_membership,
+from volrig.shifting import (_predecessors, characteristic_face,
+                             characteristic_membership,
                              characteristic_prefix, componentwise_leq,
                              compound_vector, generic_basis,
                              in_shifted_family, placement_from_basis,
@@ -52,6 +53,26 @@ def test_characteristic_prefix_is_down_set_of_face():
         brute = sorted(t for t in combinations(range(1, n + 1), d)
                        if componentwise_leq(t, face))
         assert prefix == brute
+        assert _predecessors(face, n, "p") == brute[:-1]
+        # Any other set still takes its down-set from a scan.
+        sigma = tuple(range(n - d + 1, n + 1))
+        assert _predecessors(sigma, n, "p") == [
+            t for t in combinations(range(1, n + 1), d)
+            if t != sigma and componentwise_leq(t, sigma)]
+
+
+def test_basis_minor_matches_det():
+    # Minors above 3 x 3 expand along their last column into memoised
+    # subminors; over GF(7) some entries are zero and are skipped.
+    rng = fresh_rng(3)
+    for field in (GF, PrimeField(7)):
+        b = generic_basis(8, seed=9, field=field)
+        for k in (4, 5, 6):
+            for _ in range(25):
+                rows = tuple(sorted(rng.sample(range(8), k)))
+                cols = tuple(sorted(rng.sample(range(8), k)))
+                assert b.minor(rows, cols) == \
+                    b.matrix.submatrix(rows, cols).det()
 
 
 def test_generic_basis_shape():
@@ -129,6 +150,17 @@ def test_level_membership_matches_definitional_test():
             for sigma in combinations(range(1, 6), 3):
                 assert (sigma in level) == in_shifted_family(K, sigma, b,
                                                              order)
+    # The partial order's cover recursion on d = 4, over GF(13) too,
+    # where degenerate bases make covers' spans differ.
+    for field in (GF, PrimeField(13)):
+        rng = fresh_rng(53)
+        for _ in range(4):
+            K = random_complex(rng, 6, 4)
+            b = generic_basis(6, seed=rng.randrange(10 ** 6), field=field)
+            for k in (3, 4):
+                level = set(shifted_level(K, k, b))
+                for sigma in combinations(range(1, 7), k):
+                    assert (sigma in level) == in_shifted_family(K, sigma, b)
 
 
 def test_lex_level_preserves_facet_count():
