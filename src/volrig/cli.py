@@ -19,14 +19,14 @@ from dataclasses import asdict
 from math import comb
 
 from .complexes import contract_edge
-from .cycles import (GF2, contraction_reduce, cycle_space, is_minimal_cycle,
+from .cycles import (GF2, contraction_reduce, cycle_space, spans_minimal_cycle,
                      random_identity_sweep, verify_dataset)
 from .errors import VolrigError
 from .fileio import dataset_root, load_dataset, read_complex, write_complex
-from .linalg import PRIME_TABLE, QQ, PrimeField
+from .linalg import PRIME_TABLE, QQ, PrimeField, check_dense_size
 from .rigidity import generic_rank, rational_rank
-from .shifting import (characteristic_membership, check_dense_size,
-                       generic_basis, shifted_level_stable, wedge_map_matrix)
+from .shifting import (characteristic_membership, generic_basis,
+                       shifted_level_stable, wedge_map_matrix)
 from .sparsity import (SparsityParams, build_counterexample,
                        complete_to_sparse_basis, is_sparse, is_tight)
 
@@ -254,7 +254,7 @@ def _cmd_homology(args, field):
     K = read_complex(args.infile)
     coeff = GF2 if args.mod2 else QQ
     space = cycle_space(K, coeff)
-    minimal = is_minimal_cycle(K, coeff)
+    minimal = spans_minimal_cycle(space)
     arith = coeff.describe()
     lines = ["cycle-dim %d %s" % (space.ncols, _suffix(arith)),
              "MINIMAL-CYCLE %s %s" % ("yes" if minimal else "no",

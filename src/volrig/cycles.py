@@ -66,10 +66,12 @@ def is_minimal_cycle(K: SimplicialComplex, field=QQ) -> bool:
     The default field is the rationals; pass GF2 for surfaces that only
     cycle with mod-2 coefficients.
     """
-    space = cycle_space(K, field)
-    if space.ncols != 1:
-        return False
-    return all(space.data[i][0] != 0 for i in range(space.nrows))
+    return spans_minimal_cycle(cycle_space(K, field))
+
+
+def spans_minimal_cycle(space: ExactMatrix) -> bool:
+    """is_minimal_cycle's test on a cycle space, one column per chain."""
+    return space.ncols == 1 and all(row[0] != 0 for row in space.data)
 
 
 def chain_vector(K: SimplicialComplex, chain: dict, field):
@@ -105,7 +107,8 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
     For vertex v and coordinate i the right side is (-1)^(d+i) times the
     sum, over cardinality d-1 faces tau containing v, of
     sign(tau minus v, tau) * det(N) * (boundary coefficient at tau),
-    where N drops row i from the coordinate matrix of tau minus v.
+    where N drops row i from the coordinate matrix of tau minus v (a
+    minor of its transpose, whose rows are the vertices' coordinates).
     """
     d = K.d
     field = p.field
@@ -122,12 +125,11 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
                     continue
                 rho = tuple(u for u in tau if u != v)
                 j = tau.index(v) + 1
-                cols = [p.vector(u) for u in rho]
-                nmat = ExactMatrix(
-                    [[cols[c][r] for c in range(d - 2)]
-                     for r in range(d - 1) if r != i - 1],
-                    field, _trusted=True)
-                term = field.mul(nmat.det(), coeff)
+                coords = ExactMatrix([p.vector(u) for u in rho], field,
+                                     _trusted=True)
+                minor = coords.det(range(d - 2),
+                                   [r for r in range(d - 1) if r != i - 1])
+                term = field.mul(minor, coeff)
                 if j % 2:
                     term = field.neg(term)
                 acc = field.add(acc, term)
@@ -153,19 +155,9 @@ def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,
     return generic_rank(rest, trials=trials, seed=seed, field=field)
 
 
-def _link_vertices(K: SimplicialComplex, v: int) -> set:
-    out = set()
-    for s in facets_containing(K, (v,)):
-        out.update(u for u in s if u != v)
-    return out
-
-
-def _link_edges(K: SimplicialComplex, v: int) -> set:
-    """Opposite edges of the facets at v; only meaningful for d=3."""
-    out = set()
-    for s in facets_containing(K, (v,)):
-        out.add(tuple(u for u in s if u != v))
-    return out
+def _link(K: SimplicialComplex, v: int) -> set:
+    """The faces opposite v in the facets containing v."""
+    return {tuple(x for x in s if x != v) for s in K.facets if v in s}
 
 
 def surface_link_condition(K: SimplicialComplex, u: int, w: int) -> bool:
@@ -173,28 +165,24 @@ def surface_link_condition(K: SimplicialComplex, u: int, w: int) -> bool:
 
     Equivalent to the classical contractibility criterion on closed
     surfaces: common link vertices are precisely the edge's apexes, and
-    the links share no edge.
+    the links share no edge.  Both are read off the two links (sets of
+    edges): the apexes are the other ends of u's link edges through w.
     """
     if K.d != 3:
         raise BadParameters("link condition implemented for d=3 only")
-    apexes = {s for f in facets_containing(K, (u, w))
-              for s in f if s not in (u, w)}
-    if _link_vertices(K, u) & _link_vertices(K, w) != apexes:
-        return False
-    return not (_link_edges(K, u) & _link_edges(K, w))
+    as_face((u, w))  # raises InvalidFace on malformed labels
+    link_u, link_w = _link(K, u), _link(K, w)
+    apexes = {x for e in link_u if w in e for x in e if x != w}
+    common = {x for e in link_u for x in e} & {x for e in link_w for x in e}
+    return common == apexes and not (link_u & link_w)
 
 
 def default_admissible(K: SimplicialComplex, u: int, w: int) -> bool:
     """Contract only edges in >= d-1 facets that pass the d=3 link
     condition and whose contraction leaves at least one facet."""
-    through = facets_containing(K, (u, w))
-    if len(through) < K.d - 1:
-        return False
-    if len(through) == K.num_facets:
-        return False
-    if K.d == 3 and not surface_link_condition(K, u, w):
-        return False
-    return True
+    through = len(facets_containing(K, (u, w)))
+    return (K.d - 1 <= through < K.num_facets
+            and (K.d != 3 or surface_link_condition(K, u, w)))
 
 
 def contraction_reduce(K: SimplicialComplex, admissible=None):

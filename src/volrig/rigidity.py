@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .complexes import SimplicialComplex, as_face
 from .errors import (BadParameters, DimensionMismatch,
                      MissingVertexCoordinates, VertexOutOfRange)
-from .linalg import QQ, ExactMatrix, default_field, sample_generic_matrix
+from .linalg import (QQ, ExactMatrix, check_dense_size, default_field,
+                     sample_generic_matrix)
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,7 @@ def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
+    check_dense_size((K.d - 1) * K.n, K.num_facets, "rigidity matrix")
     if field is None:
         field = default_field()
     ranks = []

@@ -17,31 +17,16 @@ from itertools import combinations
 from math import comb
 
 from .complexes import SimplicialComplex, as_face, k_faces
-from .errors import (BadParameters, DimensionMismatch, InstanceTooLarge,
-                     SingularBasis, SizeExceedsDimension, VertexOutOfRange)
-from .linalg import ExactMatrix, default_field, sample_generic_matrix
+from .errors import (BadParameters, DimensionMismatch, SingularBasis,
+                     SizeExceedsDimension, VertexOutOfRange)
+from .linalg import (ExactMatrix, check_dense_size, default_field,
+                     sample_generic_matrix)
 from .rigidity import Placement
 
 # Failed nonsingularity draws retry with seed + (attempt << 32), keeping
 # distinct attempts and distinct base seeds from colliding.
 _RESEED_SHIFT = 32
 _MAX_ATTEMPTS = 16
-
-# Largest dense matrix, in entries, that sigma0, shift and psi will build:
-# the n x n generic basis, and for psi also the C(n,d) x (d-1)n wedge
-# matrix.  On a 2-core VM (Python 3.11) sampling and checking an n = 500
-# basis (250k entries) took 15 s and 67 MB, growing as n^3; a 250k-entry
-# wedge matrix builds and eliminates in under a second.  The benchmark's
-# largest are a 576-entry basis and a 3402-entry wedge matrix.
-MAX_DENSE_ENTRIES = 250_000
-
-
-def check_dense_size(nrows: int, ncols: int, what: str) -> None:
-    """Refuse, before allocating anything, a dense matrix too large to
-    build and eliminate in reasonable time and memory."""
-    if nrows * ncols > MAX_DENSE_ENTRIES:
-        raise InstanceTooLarge("%s would be %d x %d, above the %d-entry limit"
-                               % (what, nrows, ncols, MAX_DENSE_ENTRIES))
 
 
 @dataclass(frozen=True)
@@ -66,13 +51,13 @@ class GenericBasis:
         """det of the basis matrix restricted to the given 0-based row and
         column index tuples.
 
-        Up to 3 x 3 this is the closed form of ExactMatrix.det.  Larger
+        Up to 3 x 3 this is ExactMatrix.det at those indices.  Larger
         minors expand along their last column into (k-1)-minors, which are
         memoised on this basis: the compound coordinates of sets sharing
         all but their last label share those subminors.
         """
         if len(cols) <= 3:
-            return self.matrix.submatrix(rows, cols).det()
+            return self.matrix.det(rows, cols)
         a = self.matrix.data
         last, head = cols[-1], cols[:-1]
         memo = self._minors
@@ -118,20 +103,25 @@ def characteristic_face(d: int, n: int):
     return (1,) + tuple(range(3, d + 1)) + (n,)
 
 
+def _down_set(sigma) -> list:
+    """All sets componentwise below sigma, sigma last, in lex order: the
+    i-th label runs from one past the (i-1)-th up to sigma's i-th, and
+    extending lex-sorted prefixes by increasing labels keeps lex order."""
+    out = [()]
+    for s in sigma:
+        out = [t + (x,) for t in out
+               for x in range((t[-1] if t else 0) + 1, s + 1)]
+    return out
+
+
 def characteristic_prefix(d: int, n: int) -> list:
-    """All size-d sets componentwise below the characteristic face.
+    """All size-d sets componentwise below the characteristic face, lex
+    sorted with the face last.
 
     Explicitly: [d] itself plus [d] minus {i} plus {v} for 2 <= i <= d
     and d+1 <= v <= n, so 1 + (n-d)(d-1) sets in total.
     """
-    if d < 3 or n < d + 1:
-        raise BadParameters("need d >= 3 and n >= d+1, got d=%d n=%d" % (d, n))
-    out = [tuple(range(1, d + 1))]
-    for i in range(2, d + 1):
-        base = [x for x in range(1, d + 1) if x != i]
-        for v in range(d + 1, n + 1):
-            out.append(tuple(sorted(base + [v])))
-    return sorted(out)
+    return _down_set(characteristic_face(d, n))
 
 
 def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
@@ -157,15 +147,14 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
 
 
 def _predecessors(sigma, n: int, order: str) -> list:
-    """The size-k sets strictly below sigma in the order, sorted lex."""
-    k = len(sigma)
+    """The size-k sets strictly below sigma in the order, sorted lex: for
+    the partial order, sigma's down-set without sigma; for lex, every
+    size-k subset of 1..n that sorts before sigma."""
     if order == "p":
-        if k >= 3 and n > k and sigma == characteristic_face(k, n):
-            return characteristic_prefix(k, n)[:-1]
-        return [t for t in combinations(range(1, sigma[-1] + 1), k)
-                if t != sigma and all(a <= b for a, b in zip(t, sigma))]
+        return _down_set(sigma)[:-1]
     if order == "lex":
-        return [t for t in combinations(range(1, n + 1), k) if t < sigma]
+        return [t for t in combinations(range(1, n + 1), len(sigma))
+                if t < sigma]
     raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
 
 

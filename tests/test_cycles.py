@@ -1,14 +1,14 @@
 """Boundary operators, minimal cycles, facet removal, contraction."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from helpers import (csaszar_torus, fresh_rng, octahedron,
                      projective_plane_six, random_complex, single_triangle,
                      tetra)
-from volrig import (build_complex, contract_edge, is_volume_rigid, k_faces,
-                    union_complex)
+from volrig import (build_complex, contract_edge, facets_containing,
+                    is_volume_rigid, k_faces, union_complex)
 from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            boundary_operator, chain_boundary, chain_vector,
                            contraction_reduce, cycle_space,
@@ -16,7 +16,7 @@ from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            random_identity_sweep, remove_facet_rigidity,
                            rigidity_boundary_identity, sample_chain,
                            surface_link_condition, verify_dataset)
-from volrig.errors import BadParameters, ChainOutsideComplex
+from volrig.errors import BadParameters, ChainOutsideComplex, InvalidFace
 from volrig.linalg import QQ
 from volrig.rigidity import Placement, generic_rank, random_placement
 
@@ -154,6 +154,40 @@ def test_link_condition_on_octahedron():
     assert not surface_link_condition(K, 1, 6)
     with pytest.raises(BadParameters):
         surface_link_condition(build_complex(3, [(1, 2)]), 1, 2)
+
+
+def reference_link_condition(K, u, w):
+    """The d=3 link condition with every link taken from the facets."""
+    def link(v):
+        return {tuple(x for x in s if x != v)
+                for s in facets_containing(K, (v,))}
+
+    def link_vertices(v):
+        return {x for e in link(v) for x in e}
+
+    apexes = {x for s in facets_containing(K, (u, w))
+              for x in s if x not in (u, w)}
+    return (link_vertices(u) & link_vertices(w) == apexes
+            and not (link(u) & link(w)))
+
+
+def test_link_condition_matches_definition():
+    rng = fresh_rng(12)
+    complexes = [octahedron(), csaszar_torus(), projective_plane_six()]
+    complexes += [random_complex(rng, rng.randint(4, 8), 3)
+                  for _ in range(20)]
+    for K in complexes:
+        for u, w in permutations(range(1, K.n + 1), 2):
+            want = reference_link_condition(K, u, w)
+            assert surface_link_condition(K, u, w) == want
+            through = len(facets_containing(K, (u, w)))
+            assert default_admissible(K, u, w) == (
+                2 <= through < K.num_facets and want)
+    for f in (surface_link_condition, default_admissible):
+        with pytest.raises(InvalidFace):
+            f(octahedron(), 2, 2)
+        with pytest.raises(InvalidFace):
+            f(octahedron(), 0, 1)
 
 
 def test_tetra_edges_not_admissible():

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from helpers import octahedron, tetra
+from helpers import make_dataset, octahedron, tetra
 from volrig import build_complex, cone
 from volrig.cli import main, run_command
 from volrig.errors import DatasetError, ParseError
@@ -73,23 +73,9 @@ def test_parse_manifest():
         parse_manifest("octa.txt six 8 abcd\n")
 
 
-def _make_dataset(dirpath, complexes, note="# source: handmade\n"):
-    os.makedirs(dirpath, exist_ok=True)
-    lines = [note.rstrip("\n")]
-    for i, K in enumerate(complexes):
-        fname = "c%02d.txt" % i
-        path = os.path.join(dirpath, fname)
-        write_complex(K, path)
-        lines.append("%s %d %d %s" % (fname, K.n, K.num_facets,
-                                      sha256_file(path)))
-    with open(os.path.join(dirpath, "manifest.txt"), "w",
-              encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def test_load_dataset(tmp_path):
     root = os.path.join(tmp_path, "spheres")
-    _make_dataset(root, [tetra(), octahedron()])
+    make_dataset(root, [tetra(), octahedron()])
     ds = load_dataset(root)
     assert ds.name == "spheres"
     assert ds.d == 3
@@ -100,7 +86,7 @@ def test_load_dataset(tmp_path):
 
 def test_load_dataset_rejects_bad_checksum(tmp_path):
     root = os.path.join(tmp_path, "ds")
-    _make_dataset(root, [tetra()])
+    make_dataset(root, [tetra()])
     with open(os.path.join(root, "c00.txt"), "a", encoding="ascii") as fh:
         fh.write("# tampered\n")
     with pytest.raises(DatasetError) as err:
@@ -110,7 +96,7 @@ def test_load_dataset_rejects_bad_checksum(tmp_path):
 
 def test_load_dataset_rejects_wrong_counts(tmp_path):
     root = os.path.join(tmp_path, "ds")
-    _make_dataset(root, [tetra()])
+    make_dataset(root, [tetra()])
     manifest = os.path.join(root, "manifest.txt")
     with open(manifest, "r", encoding="ascii") as fh:
         text = fh.read().replace(" 4 4 ", " 4 5 ")
@@ -128,7 +114,7 @@ def test_load_dataset_requires_manifest(tmp_path):
 
 def test_load_dataset_rejects_missing_file(tmp_path):
     root = os.path.join(tmp_path, "ds")
-    _make_dataset(root, [tetra()])
+    make_dataset(root, [tetra()])
     os.remove(os.path.join(root, "c00.txt"))
     with pytest.raises(DatasetError) as err:
         load_dataset(root)
@@ -227,13 +213,23 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
         raise AssertionError("sampled a basis for an oversized instance")
 
     monkeypatch.setattr("volrig.shifting.sample_generic_matrix", no_sampling)
+    monkeypatch.setattr("volrig.rigidity.sample_generic_matrix", no_sampling)
     path = os.path.join(tmp_path, "huge.txt")
     with open(path, "w") as fh:
         fh.write("100000 3\n1 2 3\n")
+    # A 2,000,000 x 1 rigidity matrix; the 200,000 x 1 one of `huge` fits.
+    huger = os.path.join(tmp_path, "huger.txt")
+    with open(huger, "w") as fh:
+        fh.write("1000000 3\n1 2 3\n")
+    make_dataset(os.path.join(tmp_path, "ds"),
+                 [build_complex(1000000, [(1, 2, 3)])])
     for argv in (["psi", "--d", "3", "--n", "100000"],
                  ["psi", "--d", "6", "--n", "60"],
                  ["sigma0", "--in", path],
-                 ["shift", "--in", path]):
+                 ["shift", "--in", path],
+                 ["rank", "--in", huger],
+                 ["rigid", "--in", huger],
+                 ["verify-dataset", "--dir", os.path.join(tmp_path, "ds")]):
         code, text = run_command(argv)
         assert code == 2
         assert text.startswith("error: ") and "entry limit" in text
@@ -336,7 +332,7 @@ def test_cli_boundary_identity():
 
 def test_cli_verify_dataset(tmp_path, monkeypatch):
     root = os.path.join(tmp_path, "spheres")
-    _make_dataset(root, [tetra(), octahedron()])
+    make_dataset(root, [tetra(), octahedron()])
     code, text = run_command(["verify-dataset", "--dir", root])
     assert code == 0
     assert "dataset spheres size 2" in text

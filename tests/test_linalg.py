@@ -110,6 +110,19 @@ def test_det_against_permutation_oracle():
                 assert ExactMatrix(rows, f).det() == want % f.q
 
 
+def test_det_of_minor_matches_submatrix():
+    # Minors up to 3 x 3 read the entries in place; the rest eliminate.
+    rng = random.Random(29)
+    for f in (GF, PrimeField(7), QQ):
+        m = ExactMatrix([[rng.randrange(-6, 7) for _ in range(7)]
+                         for _ in range(6)], f)
+        for k in range(6):
+            for _ in range(10):
+                rows = tuple(sorted(rng.sample(range(6), k)))
+                cols = tuple(sorted(rng.sample(range(7), k)))
+                assert m.det(rows, cols) == m.submatrix(rows, cols).det()
+
+
 def test_det_empty_matrix_is_one():
     assert ExactMatrix([], QQ).det() == 1
 
@@ -227,6 +240,8 @@ def test_shape_errors():
         ExactMatrix([[1, 2], [3]], QQ)
     with pytest.raises(DimensionMismatch):
         ExactMatrix([[1, 2]], QQ).det()
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix([[1, 2], [3, 4]], QQ).det((0, 1), (0,))
     with pytest.raises(DimensionMismatch):
         ExactMatrix([[1, 2]], QQ).mul_vec([1, 2, 3])
     with pytest.raises(DimensionMismatch):

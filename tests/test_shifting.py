@@ -54,10 +54,18 @@ def test_characteristic_prefix_is_down_set_of_face():
                        if componentwise_leq(t, face))
         assert prefix == brute
         assert _predecessors(face, n, "p") == brute[:-1]
-        # Any other set still takes its down-set from a scan.
         sigma = tuple(range(n - d + 1, n + 1))
         assert _predecessors(sigma, n, "p") == [
             t for t in combinations(range(1, n + 1), d)
+            if t != sigma and componentwise_leq(t, sigma)]
+    # Random sets' down-sets, against the same scan.
+    rng = fresh_rng(8)
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, min(5, n))
+        sigma = tuple(sorted(rng.sample(range(1, n + 1), k)))
+        assert _predecessors(sigma, n, "p") == [
+            t for t in combinations(range(1, n + 1), k)
             if t != sigma and componentwise_leq(t, sigma)]
 
 
