@@ -27,7 +27,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from volrig import build_complex
-from volrig.fileio import format_complex, sha256_file, write_complex
+from volrig.fileio import sha256_file, write_complex
 
 SURFACES = ("klein", "rp2", "torus")
 

@@ -21,7 +21,7 @@ from math import comb
 from .complexes import contract_edge
 from .cycles import (GF2, contraction_reduce, cycle_space, spans_minimal_cycle,
                      random_identity_sweep, verify_dataset)
-from .errors import VolrigError
+from .errors import BadParameters, VolrigError
 from .fileio import dataset_root, load_dataset, read_complex, write_complex
 from .linalg import PRIME_TABLE, QQ, PrimeField, check_dense_size
 from .rigidity import generic_rank, rational_rank
@@ -130,6 +130,8 @@ def _cmd_sigma0(args, field):
 
 
 def _cmd_psi(args, field):
+    if args.trials < 1:
+        raise BadParameters("trials must be at least 1")
     if 2 <= args.d <= args.n:
         check_dense_size(comb(args.n, args.d), (args.d - 1) * args.n,
                          "wedge map matrix")

@@ -19,7 +19,8 @@ from .complexes import (SimplicialComplex, as_face, build_complex,
                         contract_edge, facets_containing, k_faces,
                         remove_facet)
 from .errors import BadParameters, ChainOutsideComplex
-from .linalg import QQ, ExactMatrix, PrimeField, default_field
+from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
+                     default_field)
 from .rigidity import (Placement, RigidityReport, generic_rank,
                        random_placement, rigidity_matrix, target_rank)
 from .shifting import characteristic_membership
@@ -38,6 +39,7 @@ def boundary_operator(K: SimplicialComplex, card: int, field=QQ) -> ExactMatrix:
         raise BadParameters("cardinality %d outside 2..%d" % (card, K.d))
     rows = k_faces(K, card - 2)
     cols = k_faces(K, card - 1)
+    check_dense_size(len(rows), len(cols), "boundary matrix")
     row_index = {t: i for i, t in enumerate(rows)}
     m = ExactMatrix.zeros(len(rows), len(cols), field)
     minus_one = field.neg(field.one)
@@ -185,26 +187,25 @@ def default_admissible(K: SimplicialComplex, u: int, w: int) -> bool:
             and (K.d != 3 or surface_link_condition(K, u, w)))
 
 
-def contraction_reduce(K: SimplicialComplex, admissible=None):
+def _admissible_edge(K: SimplicialComplex):
+    """First edge in lex order that default_admissible accepts, or None."""
+    if K.d < 2:
+        return None
+    return next((e for e in k_faces(K, 1) if default_admissible(K, *e)),
+                None)
+
+
+def contraction_reduce(K: SimplicialComplex):
     """Contract admissible edges (first in lex order each round) until
     none remains; returns the fixed point and the contraction log.
 
     Terminates because every contraction loses one vertex.
     """
-    if admissible is None:
-        admissible = default_admissible
     log = []
-    while True:
-        found = None
-        if K.d >= 2:
-            for e in k_faces(K, 1):
-                if admissible(K, e[0], e[1]):
-                    found = e
-                    break
-        if found is None:
-            return K, log
-        K = contract_edge(K, found[0], found[1])
-        log.append(found)
+    while (e := _admissible_edge(K)) is not None:
+        K = contract_edge(K, *e)
+        log.append(e)
+    return K, log
 
 
 @dataclass(frozen=True)
@@ -249,8 +250,7 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
         if K.d >= 3 and K.n >= K.d + 1:
             mem = characteristic_membership(K, trials=trials, seed=seed,
                                             field=field).member
-        fixed = not any(default_admissible(K, e[0], e[1])
-                        for e in k_faces(K, 1))
+        fixed = _admissible_edge(K) is None
         entries.append({
             "index": idx, "n": K.n, "d": K.d, "facets": K.num_facets,
             "rank": rep.generic_rank, "target": rep.target_rank,
@@ -279,6 +279,8 @@ def sample_chain(K: SimplicialComplex, seed: int, field=None) -> dict:
 def random_identity_sweep(num_samples: int = 50, seed: int = 0,
                           field=None) -> int:
     """Sample (K, p, z) triples and count identity failures (expect 0)."""
+    if num_samples < 1:
+        raise BadParameters("samples must be at least 1")
     if field is None:
         field = default_field()
     rng = random.Random(seed)

@@ -70,8 +70,10 @@ class GenericityFailure(VolrigError):
 
 
 class InstanceTooLarge(VolrigError):
-    """An instance exceeds a size cap: the brute-force sparsity scan, or
-    the dense matrices of shifting and the wedge map."""
+    """An instance exceeds a size cap: the brute-force sparsity scan
+    (n > 22), or a dense matrix above the entry limit (the rigidity
+    matrix, the generic basis of shifting, the wedge map matrix and the
+    boundary matrix)."""
 
 
 class NotSparse(VolrigError):

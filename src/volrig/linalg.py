@@ -25,12 +25,13 @@ PRIME_TABLE = (
 DEFAULT_PRIME = PRIME_TABLE[0]
 
 # Largest dense matrix, in entries, that the package will build: the
-# rigidity matrix, the n x n generic basis of shifting, and the
-# C(n,d) x (d-1)n wedge matrix.  On a 2-core VM (Python 3.11) sampling and
-# checking an n = 500 basis (250k entries) took 15 s and 67 MB, growing as
-# n^3; a 250k-entry wedge matrix builds and eliminates in under a second.
+# rigidity matrix, the n x n generic basis of shifting, the
+# C(n,d) x (d-1)n wedge matrix and the boundary matrix.  On a 2-core VM
+# (Python 3.11) sampling and checking an n = 500 basis (250k entries) took
+# 15 s and 67 MB, growing as n^3; a 250k-entry wedge matrix builds and
+# eliminates in under a second.
 # The benchmark's largest are a 180 x 176 rigidity matrix, a 576-entry
-# basis and a 3402-entry wedge matrix.
+# basis, a 3402-entry wedge matrix and a 280 x 140 boundary matrix.
 MAX_DENSE_ENTRIES = 250_000
 
 

@@ -17,8 +17,8 @@ from itertools import combinations
 from math import comb
 
 from .complexes import SimplicialComplex, as_face, k_faces
-from .errors import (BadParameters, DimensionMismatch, SingularBasis,
-                     SizeExceedsDimension, VertexOutOfRange)
+from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
+                     SingularBasis, SizeExceedsDimension, VertexOutOfRange)
 from .linalg import (ExactMatrix, check_dense_size, default_field,
                      sample_generic_matrix)
 from .rigidity import Placement
@@ -275,8 +275,6 @@ def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",
     Disagreement means at least one basis was degenerate; one round of
     fresh seeds is tried before giving up.
     """
-    from .errors import GenericityFailure
-
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     for round_base in (seed, seed + (1 << 48)):

@@ -43,94 +43,84 @@ def spanned_count(K: SimplicialComplex, vertex_set) -> int:
     return sum(1 for s in K.facets if a.issuperset(s))
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise InstanceTooLarge("n=%d exceeds brute-force cap %d" % (n, cap))
+def _mask(vertices) -> int:
+    """Bitmask of a vertex set: vertex v sets bit v-1."""
+    return sum(1 << (v - 1) for v in vertices)
 
 
-def _violation(n: int, d: int, facets, params: SparsityParams):
-    """First violating vertex set, smallest cardinality then lex, or None."""
-    masks = [sum(1 << (v - 1) for v in s) for s in facets]
+def _violation(n: int, masks, params: SparsityParams, within: int = 0):
+    """First vertex set containing the mask `within` that spans more than
+    a|A| - b of the facet masks, smallest cardinality then lex, or None.
+
+    Sizes where no set can exceed the bound (it is at least the facet
+    count, or at least every d-subset) are skipped.
+    """
+    if n > BRUTE_FORCE_CAP:
+        raise InstanceTooLarge("n=%d exceeds brute-force cap %d"
+                               % (n, BRUTE_FORCE_CAP))
+    fixed = tuple(v for v in range(1, n + 1) if within >> (v - 1) & 1)
+    rest = [v for v in range(1, n + 1) if not within >> (v - 1) & 1]
     total = len(masks)
-    for m in range(d, n + 1):
+    for m in range(max(params.d, len(fixed)), n + 1):
         bound = params.bound(m)
-        if bound >= total or comb(m, d) <= bound:
+        if bound >= total or comb(m, params.d) <= bound:
             continue
-        for a in combinations(range(1, n + 1), m):
-            amask = sum(1 << (v - 1) for v in a)
-            count = sum(1 for fm in masks if fm & ~amask == 0)
-            if count > bound:
-                return a
+        for extra in combinations(rest, m - len(fixed)):
+            outside = ~(within | _mask(extra))
+            if sum(1 for fm in masks if not fm & outside) > bound:
+                return tuple(sorted(fixed + extra))
     return None
 
 
-def is_sparse(K: SimplicialComplex, params: SparsityParams,
-              cap: int = BRUTE_FORCE_CAP):
+def is_sparse(K: SimplicialComplex, params: SparsityParams):
     """(verdict, witness): witness is a minimum-size violator or None."""
     if params.d != K.d:
         raise BadParameters("params.d=%d but complex has d=%d"
                             % (params.d, K.d))
-    _check_cap(K.n, cap)
-    w = _violation(K.n, K.d, K.facets, params)
+    w = _violation(K.n, [_mask(s) for s in K.facets], params)
     return (w is None, w)
 
 
-def is_tight(K: SimplicialComplex, params: SparsityParams,
-             cap: int = BRUTE_FORCE_CAP) -> bool:
-    ok, _ = is_sparse(K, params, cap)
+def is_tight(K: SimplicialComplex, params: SparsityParams) -> bool:
+    ok, _ = is_sparse(K, params)
     return ok and K.num_facets == params.bound(K.n)
 
 
-def _addition_keeps_sparse(n, facets_masks, new_mask, new_card,
-                           params: SparsityParams) -> bool:
-    """Only supersets of the new facet can newly violate the bound."""
-    rest = [v for v in range(1, n + 1) if not (new_mask >> (v - 1)) & 1]
-    allm = facets_masks + [new_mask]
-    for extra in range(len(rest) + 1):
-        for s in combinations(rest, extra):
-            amask = new_mask | sum(1 << (v - 1) for v in s)
-            m = new_card + extra
-            count = sum(1 for fm in allm if fm & ~amask == 0)
-            if count > params.bound(m):
-                return False
-    return True
-
-
 def _greedy_complete(n: int, params: SparsityParams, start_facets):
-    facets = sorted(set(start_facets))
-    masks = [sum(1 << (v - 1) for v in s) for s in facets]
-    have = set(facets)
+    """Add lex-ordered candidates while sparsity survives; only supersets
+    of a new facet can newly violate the bound."""
+    have = set(start_facets)
+    masks = [_mask(s) for s in have]
     target = params.bound(n)
     for cand in combinations(range(1, n + 1), params.d):
         if len(have) >= target:
             break
         if cand in have:
             continue
-        cmask = sum(1 << (v - 1) for v in cand)
-        if _addition_keeps_sparse(n, masks, cmask, params.d, params):
+        masks.append(_mask(cand))
+        if _violation(n, masks, params, within=masks[-1]) is None:
             have.add(cand)
-            masks.append(cmask)
+        else:
+            masks.pop()
     return sorted(have)
 
 
-def complete_to_sparse_basis(K: SimplicialComplex, params: SparsityParams,
-                             cap: int = BRUTE_FORCE_CAP) -> SimplicialComplex:
+def complete_to_sparse_basis(K: SimplicialComplex,
+                             params: SparsityParams) -> SimplicialComplex:
     """Greedily add lex-ordered candidate facets while sparsity survives.
 
     Stops at the tight count a n - b or when candidates run out; the
     input must itself be sparse.
     """
-    ok, witness = is_sparse(K, params, cap)
+    ok, witness = is_sparse(K, params)
     if not ok:
         raise NotSparse("input violates the bound on %r" % (witness,))
     return build_complex(K.n, _greedy_complete(K.n, params, K.facets))
 
 
-def greedy_sparse_basis(n: int, params: SparsityParams,
-                        cap: int = BRUTE_FORCE_CAP) -> SimplicialComplex:
+def greedy_sparse_basis(n: int, params: SparsityParams) -> SimplicialComplex:
     """Basis grown from the empty facet set (complexes cannot be empty,
     so the from-scratch variant gets its own entry point)."""
-    _check_cap(n, cap)
     facets = _greedy_complete(n, params, [])
     if not facets:
         raise NotSparse("no facet at all satisfies the bound on n=%d" % n)

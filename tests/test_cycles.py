@@ -96,6 +96,9 @@ def test_identity_on_fundamental_cycle_over_rationals():
 
 def test_identity_random_sweep():
     assert random_identity_sweep(num_samples=20, seed=3) == 0
+    for bad in (0, -3):
+        with pytest.raises(BadParameters):
+            random_identity_sweep(num_samples=bad)
 
 
 def test_identity_rejects_outside_chain():

@@ -206,14 +206,22 @@ def test_cli_psi():
     assert code == 0
     assert "rows 10 cols 10" in text
     assert "rank 5 kernel 5" in text
+    for trials in ("0", "-2"):
+        code, text = run_command(["psi", "--d", "3", "--n", "5",
+                                  "--trials", trials])
+        assert (code, text) == (2, "error: trials must be at least 1\n")
 
 
 def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a basis for an oversized instance")
 
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated a matrix for an oversized instance")
+
     monkeypatch.setattr("volrig.shifting.sample_generic_matrix", no_sampling)
     monkeypatch.setattr("volrig.rigidity.sample_generic_matrix", no_sampling)
+    monkeypatch.setattr("volrig.linalg.ExactMatrix.zeros", no_allocation)
     path = os.path.join(tmp_path, "huge.txt")
     with open(path, "w") as fh:
         fh.write("100000 3\n1 2 3\n")
@@ -223,13 +231,18 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
         fh.write("1000000 3\n1 2 3\n")
     make_dataset(os.path.join(tmp_path, "ds"),
                  [build_complex(1000000, [(1, 2, 3)])])
+    # 300 disjoint triangles: a 900 x 300 boundary matrix.
+    disjoint = os.path.join(tmp_path, "disjoint.txt")
+    write_complex(build_complex(900, [(3 * i + 1, 3 * i + 2, 3 * i + 3)
+                                      for i in range(300)]), disjoint)
     for argv in (["psi", "--d", "3", "--n", "100000"],
                  ["psi", "--d", "6", "--n", "60"],
                  ["sigma0", "--in", path],
                  ["shift", "--in", path],
                  ["rank", "--in", huger],
                  ["rigid", "--in", huger],
-                 ["verify-dataset", "--dir", os.path.join(tmp_path, "ds")]):
+                 ["verify-dataset", "--dir", os.path.join(tmp_path, "ds")],
+                 ["homology", "--in", disjoint]):
         code, text = run_command(argv)
         assert code == 2
         assert text.startswith("error: ") and "entry limit" in text
@@ -328,6 +341,9 @@ def test_cli_boundary_identity():
     assert code == 0
     assert "samples 10 failures 0" in text
     assert "IDENTITY yes" in text
+    for samples in ("0", "-3"):
+        code, text = run_command(["boundary-id", "--samples", samples])
+        assert (code, text) == (2, "error: samples must be at least 1\n")
 
 
 def test_cli_verify_dataset(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
 """Facet-count sparsity, tightness, greedy completion, counterexamples."""
 
+from itertools import combinations
+from math import comb
+
 import pytest
 
 from helpers import bipartite33, fresh_rng, random_complex, tetra
@@ -176,9 +179,60 @@ def test_sparse_facet_sets_with_independent_columns():
 
 
 def test_brute_force_cap():
-    K = greedy_sparse_basis(7, VOL3)
-    with pytest.raises(InstanceTooLarge):
-        is_sparse(K, VOL3, cap=6)
+    # One vertex past the cap; scanning 2^23 vertex sets would not finish
+    # within the test run, so each entry point refuses before scanning.
+    K = build_complex(23, [(1, 2, 3), (21, 22, 23)])
+    for call in (lambda: is_sparse(K, VOL3), lambda: is_tight(K, VOL3),
+                 lambda: complete_to_sparse_basis(K, VOL3),
+                 lambda: greedy_sparse_basis(23, VOL3)):
+        with pytest.raises(InstanceTooLarge,
+                           match="^n=23 exceeds brute-force cap 22$"):
+            call()
+
+
+def reference_violation(K, params):
+    """Definitional scan: every vertex set by size, then lex."""
+    for m in range(params.d, K.n + 1):
+        for A in combinations(range(1, K.n + 1), m):
+            if spanned_count(K, A) > params.bound(m):
+                return A
+    return None
+
+
+def reference_completion(K, params):
+    """Lex-ordered greedy completion, testing each augmented complex."""
+    facets = list(K.facets)
+    for cand in combinations(range(1, K.n + 1), params.d):
+        if len(facets) >= params.bound(K.n):
+            break
+        if cand not in facets and reference_violation(
+                build_complex(K.n, facets + [cand]), params) is None:
+            facets.append(cand)
+    return build_complex(K.n, facets)
+
+
+def test_scan_matches_definitional_reference():
+    # In range means 0 <= b < d a, the matroidal range of sparsity; the
+    # last two parameter pairs lie outside it.
+    rng = fresh_rng(31)
+    for trial in range(15):
+        d = 2 + trial % 3
+        n = rng.randint(d + 1, 8)
+        K = random_complex(rng, n, d, rng.randint(1, min(10, comb(n, d))))
+        for params in (SparsityParams.volume_regime(d),
+                       SparsityParams(a=1, b=0, d=d),
+                       SparsityParams(a=1, b=d, d=d),
+                       SparsityParams(a=2, b=3 * d, d=d)):
+            want = reference_violation(K, params)
+            assert is_sparse(K, params) == (want is None, want)
+            assert is_tight(K, params) == (
+                want is None and K.num_facets == params.bound(K.n))
+            if want is None:
+                assert (complete_to_sparse_basis(K, params)
+                        == reference_completion(K, params))
+            else:
+                with pytest.raises(NotSparse):
+                    complete_to_sparse_basis(K, params)
 
 
 def test_negative_bound_is_definitional():
