@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
 from math import comb
 
 from .complexes import contract_edge
@@ -77,7 +76,7 @@ def _rank_common(args, field):
              "trial-ranks %s" % ",".join(str(r) for r in rep.trial_ranks),
              "rank %d target %d %s" % (rep.generic_rank, rep.target_rank,
                                        _suffix(rep.arithmetic, rep.trials))]
-    obj = asdict(rep)
+    obj = rep._asdict()
     obj["command"] = args.command
     best = rep.generic_rank
     exact = _exact_rank_line(K, args, lines, obj)
@@ -124,7 +123,7 @@ def _cmd_sigma0(args, field):
     lines = ["face %s" % _face_str(rep.face),
              "MEMBER %s %s" % ("yes" if rep.member else "no",
                                _suffix(rep.arithmetic, rep.trials))]
-    obj = asdict(rep)
+    obj = rep._asdict()
     obj["command"] = "sigma0"
     return (0 if rep.member else 1), lines, obj
 
@@ -302,7 +301,7 @@ def _cmd_verify_dataset(args, field):
         ok = False
     lines.append("DATASET %s %s" % ("ok" if ok else "FAIL",
                                     _suffix(rep.arithmetic, rep.trials)))
-    obj = asdict(rep)
+    obj = rep._asdict()
     obj["command"] = "verify-dataset"
     obj["ok"] = ok
     return (0 if ok else 1), lines, obj

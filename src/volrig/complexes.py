@@ -8,7 +8,7 @@ implied (every subset of a facet is a face) and enumerated on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .errors import (ApexCollision, ContractionAnnihilates, EmptyFacetList,
@@ -29,13 +29,10 @@ def as_face(vertices) -> Face:
     return tuple(sorted(vs))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(namedtuple("SimplicialComplex", "n d facets")):
     """Immutable pure complex; build through build_complex."""
 
-    n: int
-    d: int
-    facets: tuple
+    __slots__ = ()
 
     @property
     def num_facets(self) -> int:

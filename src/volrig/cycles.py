@@ -12,7 +12,7 @@ and drives edge-contraction reduction of surface triangulations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .complexes import (SimplicialComplex, as_face, build_complex,
@@ -147,13 +147,13 @@ def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,
     """Rigidity report for the complex with one facet deleted."""
     rest = remove_facet(K, face)
     if rest is None:
+        if field is None:
+            field = default_field()
         tgt = target_rank(K.n, K.d, 0)
         return RigidityReport(
             n=K.n, d=K.d, num_facets=0, generic_rank=0, target_rank=tgt,
             is_rigid=(tgt == 0), corank=tgt, trials=trials, seed=seed,
-            trial_ranks=(0,) * trials,
-            arithmetic=(field.describe() if field is not None
-                        else PrimeField().describe()))
+            trial_ranks=(0,) * trials, arithmetic=field.describe())
     return generic_rank(rest, trials=trials, seed=seed, field=field)
 
 
@@ -208,25 +208,13 @@ def contraction_reduce(K: SimplicialComplex):
     return K, log
 
 
-@dataclass(frozen=True)
-class SurfaceDataset:
-    name: str
-    d: int
-    complexes: tuple
-    provenance: str
+SurfaceDataset = namedtuple("SurfaceDataset", "name d complexes provenance")
 
 
-@dataclass(frozen=True)
-class DatasetReport:
-    name: str
-    size: int
-    rigid_count: int
-    member_count: int
-    irreducible_count: int
-    entries: tuple
-    trials: int
-    seed: int
-    arithmetic: str
+class DatasetReport(namedtuple("DatasetReport", (
+        "name size rigid_count member_count irreducible_count entries "
+        "trials seed arithmetic"))):
+    __slots__ = ()
 
     @property
     def all_rigid(self) -> bool:
@@ -271,7 +259,7 @@ def sample_chain(K: SimplicialComplex, seed: int, field=None) -> dict:
     if field is None:
         field = default_field()
     rng = random.Random(seed)
-    if field.mode == "prime":
+    if field.q is not None:
         return {s: rng.randrange(field.q) for s in K.facets}
     return {s: field.of(rng.randrange(-99, 100)) for s in K.facets}
 

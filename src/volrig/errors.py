@@ -72,8 +72,9 @@ class GenericityFailure(VolrigError):
 class InstanceTooLarge(VolrigError):
     """An instance exceeds a size cap: the brute-force sparsity scan
     (n > 22), or a dense matrix above the entry limit (the rigidity
-    matrix, the generic basis of shifting, the wedge map matrix and the
-    boundary matrix)."""
+    matrix, the generic basis of shifting, the shifting matrix of a
+    level, the membership span matrix of the characteristic face, the
+    wedge map matrix and the boundary matrix)."""
 
 
 class NotSparse(VolrigError):

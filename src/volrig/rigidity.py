@@ -11,7 +11,7 @@ in the left kernel, so the best possible rank is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .complexes import SimplicialComplex, as_face
 from .errors import (BadParameters, DimensionMismatch,
@@ -20,13 +20,10 @@ from .linalg import (QQ, ExactMatrix, check_dense_size, default_field,
                      sample_generic_matrix)
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(namedtuple("Placement", "d coords field")):
     """Coordinates for vertices 1..n in (d-1)-space, exact scalars."""
 
-    d: int
-    coords: dict
-    field: object
+    __slots__ = ()
 
     def vector(self, v: int):
         try:
@@ -35,19 +32,9 @@ class Placement:
             raise MissingVertexCoordinates("no coordinates for vertex %d" % v)
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    n: int
-    d: int
-    num_facets: int
-    generic_rank: int
-    target_rank: int
-    is_rigid: bool
-    corank: int
-    trials: int
-    seed: int
-    trial_ranks: tuple
-    arithmetic: str
+RigidityReport = namedtuple(
+    "RigidityReport", "n d num_facets generic_rank target_rank is_rigid "
+    "corank trials seed trial_ranks arithmetic")
 
 
 def random_placement(n: int, d: int, seed: int, field=None) -> Placement:

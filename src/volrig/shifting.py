@@ -12,7 +12,7 @@ vectors of all strictly smaller sets, in the chosen order on sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -29,7 +29,6 @@ _RESEED_SHIFT = 32
 _MAX_ATTEMPTS = 16
 
 
-@dataclass(frozen=True)
 class GenericBasis:
     """Nonsingular n x n matrix whose first column is all ones.
 
@@ -37,11 +36,13 @@ class GenericBasis:
     pins down the one non-random basis vector the theory requires.
     """
 
-    n: int
-    seed: int
-    matrix: ExactMatrix
-    _minors: dict = dataclass_field(default_factory=dict, init=False,
-                                    repr=False, compare=False)
+    __slots__ = ("n", "seed", "matrix", "_minors")
+
+    def __init__(self, n: int, seed: int, matrix: ExactMatrix):
+        self.n = n
+        self.seed = seed
+        self.matrix = matrix
+        self._minors = {}
 
     @property
     def field(self):
@@ -277,6 +278,7 @@ def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
+    _check_level(K, k)
     for round_base in (seed, seed + (1 << 48)):
         results = [shifted_level(K, k, generic_basis(K.n, round_base + t,
                                                      field=field), order)
@@ -287,20 +289,16 @@ def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",
 
 
 def _check_level(K: SimplicialComplex, k: int) -> None:
+    """Refuse a level outside 1..d, or one whose shifting matrix (a row
+    per (k-1)-face of K, a column per size-k label set) is too large."""
     if k < 1 or k > K.d:
         raise BadParameters("level k=%d outside 1..%d" % (k, K.d))
+    rows = len({t for s in K.facets for t in combinations(s, k)})
+    check_dense_size(rows, comb(K.n, k), "shifting matrix")
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    n: int
-    d: int
-    face: tuple
-    member: bool
-    trials: int
-    seed: int
-    per_trial: tuple
-    arithmetic: str
+MembershipReport = namedtuple(
+    "MembershipReport", "n d face member trials seed per_trial arithmetic")
 
 
 def characteristic_membership(K: SimplicialComplex, trials: int = 3,
@@ -321,6 +319,8 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
     if field is None:
         field = default_field()
     face = characteristic_face(K.d, K.n)
+    check_dense_size(K.num_facets, (K.n - K.d) * (K.d - 1),
+                     "membership span matrix")
     bases = [generic_basis(K.n, seed + t, field=field) for t in range(trials)]
     votes = tuple(in_shifted_family(K, face, b) for b in bases)
     member = all(votes)

@@ -9,7 +9,7 @@ exactly the facet count of a minimally rigid complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -19,15 +19,13 @@ from .errors import BadParameters, InstanceTooLarge, NotSparse
 BRUTE_FORCE_CAP = 22
 
 
-@dataclass(frozen=True)
-class SparsityParams:
-    a: int
-    b: int
-    d: int
+class SparsityParams(namedtuple("SparsityParams", "a b d")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 0 or self.d < 1:
+    def __new__(cls, a: int, b: int, d: int):
+        if a < 1 or b < 0 or d < 1:
             raise BadParameters("need a >= 1, b >= 0, d >= 1")
+        return super().__new__(cls, a, b, d)
 
     @classmethod
     def volume_regime(cls, d: int) -> "SparsityParams":

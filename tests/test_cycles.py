@@ -1,5 +1,6 @@
 """Boundary operators, minimal cycles, facet removal, contraction."""
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -17,7 +18,7 @@ from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            rigidity_boundary_identity, sample_chain,
                            surface_link_condition, verify_dataset)
 from volrig.errors import BadParameters, ChainOutsideComplex, InvalidFace
-from volrig.linalg import QQ
+from volrig.linalg import QQ, default_field
 from volrig.rigidity import Placement, generic_rank, random_placement
 
 
@@ -112,6 +113,11 @@ def test_sample_chain_covers_facets():
     K = octahedron()
     z = sample_chain(K, seed=2)
     assert set(z) == set(K.facets)
+    assert all(0 <= c < default_field().q for c in z.values())
+    z = sample_chain(K, seed=2, field=QQ)
+    assert set(z) == set(K.facets)
+    assert all(isinstance(c, Fraction) and -99 <= c <= 99
+               for c in z.values())
 
 
 def test_tetra_stays_rigid_without_any_single_facet():
@@ -147,6 +153,9 @@ def test_remove_last_facet_gives_empty_report():
     assert rep.generic_rank == 0
     assert rep.target_rank == 0
     assert rep.is_rigid
+    assert rep.arithmetic == default_field().describe()
+    rep = remove_facet_rigidity(single_triangle(), (1, 2, 3), field=QQ)
+    assert rep.arithmetic == "QQ"
 
 
 def test_link_condition_on_octahedron():

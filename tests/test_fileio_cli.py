@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import volrig
 from helpers import make_dataset, octahedron, tetra
 from volrig import build_complex, cone
 from volrig.cli import main, run_command
@@ -235,10 +238,23 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
     disjoint = os.path.join(tmp_path, "disjoint.txt")
     write_complex(build_complex(900, [(3 * i + 1, 3 * i + 2, 3 * i + 3)
                                       for i in range(300)]), disjoint)
+    # One facet on 120 vertices: a 1 x C(120, 3) = 280,840 shifting matrix
+    # behind a 14,400-entry basis.
+    lone = os.path.join(tmp_path, "lone.txt")
+    with open(lone, "w") as fh:
+        fh.write("120 3\n1 2 3\n")
+    # A 595-triangle fan on 300 vertices: a 595 x 594 membership span
+    # matrix behind a 90,000-entry basis.
+    fan = os.path.join(tmp_path, "fan.txt")
+    write_complex(build_complex(300, [(1, 2, v) for v in range(3, 301)]
+                                + [(1, 3, v) for v in range(4, 301)]), fan)
     for argv in (["psi", "--d", "3", "--n", "100000"],
                  ["psi", "--d", "6", "--n", "60"],
                  ["sigma0", "--in", path],
+                 ["sigma0", "--in", fan],
                  ["shift", "--in", path],
+                 ["shift", "--in", lone, "--order", "p"],
+                 ["shift", "--in", lone, "--order", "lex"],
                  ["rank", "--in", huger],
                  ["rigid", "--in", huger],
                  ["verify-dataset", "--dir", os.path.join(tmp_path, "ds")],
@@ -246,6 +262,17 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
         code, text = run_command(argv)
         assert code == 2
         assert text.startswith("error: ") and "entry limit" in text
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # Value types are named tuples, so start-up never loads dataclasses.
+    # -S keeps site hooks from importing it first.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(volrig.__file__)))
+    code = ("import sys; sys.path.insert(0, %r); import volrig.cli; "
+            "print('dataclasses' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_cli_sparsity(tetra_file):

@@ -83,6 +83,18 @@ def test_basis_minor_matches_det():
                     b.matrix.submatrix(rows, cols).det()
 
 
+def test_basis_minor_memo_is_per_basis():
+    # Memo keys name only row and column indices, so two bases sharing one
+    # memo would read each other's subminors.
+    rng = fresh_rng(5)
+    bases = [generic_basis(7, seed=s) for s in (1, 2)]
+    for _ in range(10):
+        rows = tuple(sorted(rng.sample(range(7), 4)))
+        cols = tuple(sorted(rng.sample(range(7), 4)))
+        for b in bases + bases:
+            assert b.minor(rows, cols) == b.matrix.det(rows, cols)
+
+
 def test_generic_basis_shape():
     b = generic_basis(6, seed=4)
     assert b.matrix.rank() == 6

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import bipartite33, fresh_rng, random_complex, tetra
 from volrig import build_complex, cone, is_volume_rigid
-from volrig.errors import InstanceTooLarge, NotSparse
+from volrig.errors import BadParameters, InstanceTooLarge, NotSparse
 from volrig.sparsity import (SparsityParams, bipartite_complete_graph,
                              build_counterexample, complete_to_sparse_basis,
                              greedy_sparse_basis, is_sparse, is_tight,
@@ -20,6 +20,15 @@ VOL4 = SparsityParams.volume_regime(4)
 def test_volume_regime_parameters():
     assert (VOL3.a, VOL3.b) == (2, 5)
     assert (VOL4.a, VOL4.b) == (3, 11)
+
+
+def test_params_validated_positionally_and_by_keyword():
+    for bad in ((0, 1, 2), (1, -1, 2), (1, 1, 0)):
+        with pytest.raises(BadParameters):
+            SparsityParams(*bad)
+        with pytest.raises(BadParameters):
+            SparsityParams(**dict(zip("abd", bad)))
+    assert SparsityParams(2, 3, 2) == SparsityParams(a=2, b=3, d=2)
 
 
 def test_spanned_count():
