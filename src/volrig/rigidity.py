@@ -143,6 +143,50 @@ def trivial_motion_basis(p: Placement, n: int) -> ExactMatrix:
     return ExactMatrix(rows, f, _trusted=True)
 
 
+def _min_degree_order(n: int, faces) -> list:
+    """Vertices 1..n in greedy minimum-degree order on the vertex graph.
+
+    Plays the elimination game (Rose 1972): take the vertex of smallest
+    current degree, the smallest label on ties, remove it, and join its
+    remaining neighbours into a clique.  Isolated vertices have degree 0
+    throughout, so they come first and are left out of the search.
+    """
+    adj = {}
+    for sigma in faces:
+        for v in sigma:
+            adj.setdefault(v, set()).update(sigma)
+    order = [v for v in range(1, n + 1) if v not in adj]
+    for v, nbrs in adj.items():
+        nbrs.discard(v)
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u].discard(v)
+            adj[u].update(nbrs)
+            adj[u].discard(u)
+        order.append(v)
+    return order
+
+
+def _ordered_rank(m: ExactMatrix, faces, order) -> int:
+    """Rank of a volume-gradient matrix m, eliminated with little fill.
+
+    Eliminates the transpose: one row per face, sorted by the sorted
+    positions of its vertices in order, and one column per coordinate
+    row of m, vertex by vertex in order.  Permuting and transposing
+    leave the rank unchanged.
+    """
+    k = m.nrows // len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    coord_rows = [(v - 1) * k + i for v in order for i in range(k)]
+    face_cols = sorted(range(len(faces)),
+                       key=lambda c: sorted(pos[v] for v in faces[c]))
+    by_face = list(zip(*(m.data[r] for r in coord_rows)))
+    return ExactMatrix([list(by_face[c]) for c in face_cols],
+                       m.field, _trusted=True).rank()
+
+
 def target_rank(n: int, d: int, num_facets: int) -> int:
     """Best achievable rank; degenerate n <= d instances cap at f <= 1."""
     t = (d - 1) * n - (d * d - d - 1)
@@ -161,16 +205,23 @@ def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
     degree at most r(d-2); by Schwartz-Zippel one trial misses rank r
     with probability at most r(d-2)/q, and all t independent trials miss
     with probability at most (r(d-2)/q)^t.
+
+    Each rank eliminates the transpose of the rigidity matrix with
+    vertices in greedy minimum-degree order (_min_degree_order, computed
+    once per call) and facets sorted by their vertices' positions in it,
+    which keeps the sparse matrix from filling in.  Permuting rows and
+    columns and transposing leave the rank unchanged.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     check_dense_size((K.d - 1) * K.n, K.num_facets, "rigidity matrix")
     if field is None:
         field = default_field()
+    order = _min_degree_order(K.n, K.facets)
     ranks = []
     for t in range(trials):
         p = random_placement(K.n, K.d, seed + t, field=field)
-        ranks.append(rigidity_matrix(K, p).rank())
+        ranks.append(_ordered_rank(rigidity_matrix(K, p), K.facets, order))
     best = max(ranks)
     tgt = target_rank(K.n, K.d, K.num_facets)
     return RigidityReport(
@@ -192,6 +243,8 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
 
     The first argument fixes the vertex count; a complex or a plain n
     both work, since independence only depends on the selected faces.
+    Ranks are taken in the minimum-degree elimination order of
+    generic_rank, which does not change them.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
@@ -207,10 +260,11 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
             raise VertexOutOfRange("face %r exceeds n=%d" % (s, n))
     if field is None:
         field = default_field()
+    order = _min_degree_order(n, faces)
     for t in range(trials):
         p = random_placement(n, d, seed + t, field=field)
         m = _volume_gradient_columns(p, n, faces)
-        if m.rank() == len(faces):
+        if _ordered_rank(m, faces, order) == len(faces):
             return True
     return False
 
@@ -219,11 +273,15 @@ def rational_rank(K: SimplicialComplex, seed: int = 0) -> int:
     """Rank over the rationals at one random integer placement.
 
     Provided for cross-checks on small instances; entries are sampled
-    in a fixed small integer box so determinants stay readable.
+    in a fixed small integer box so determinants stay readable.  The
+    rank is taken in the minimum-degree elimination order of
+    generic_rank, which does not change it but keeps the sparse matrix
+    from filling in with large fractions.
     """
     rng = random.Random(seed)
     coords = {v: tuple(QQ.of(rng.randrange(-999, 1000))
                        for _ in range(K.d - 1))
               for v in range(1, K.n + 1)}
     p = Placement(d=K.d, coords=coords, field=QQ)
-    return rigidity_matrix(K, p).rank()
+    return _ordered_rank(rigidity_matrix(K, p), K.facets,
+                         _min_degree_order(K.n, K.facets))

@@ -53,6 +53,18 @@ def random_complex(rng, n, d, f=None):
     return build_complex(n, rng.sample(pool, f))
 
 
+def stacked_sphere(rng, d, n):
+    """Stacked (d-1)-sphere on n >= d+1 vertices, randomly relabelled:
+    the boundary of a simplex with n-d-1 random facets subdivided."""
+    facets = list(combinations(range(1, d + 2), d))
+    for v in range(d + 2, n + 1):
+        f = facets.pop(rng.randrange(len(facets)))
+        facets.extend(tuple(u for u in f if u != w) + (v,) for w in f)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return build_complex(n, [sorted(perm[v - 1] for v in f) for f in facets])
+
+
 def random_shifted_complex(rng, n, d, seeds=2):
     """Down-closure of a few random d-sets in the componentwise order."""
     pool = list(combinations(range(1, n + 1), d))
