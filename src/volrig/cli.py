@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import os
 import sys
 from math import comb
@@ -420,6 +419,7 @@ def run_command(argv) -> tuple:
     except OSError as e:
         return 2, "error: %s\n" % e
     if args.json:
+        import json  # only --json reports need it; keeps start-up lean
         return code, json.dumps(obj, sort_keys=True) + "\n"
     return code, "\n".join(lines) + "\n"
 

@@ -68,9 +68,16 @@ def build_complex(n: int, facets) -> SimplicialComplex:
 
 
 def k_faces(K: SimplicialComplex, k: int) -> list:
-    """All k-dimensional faces (cardinality k+1), sorted lexicographically."""
+    """All k-dimensional faces (cardinality k+1), sorted lexicographically.
+
+    At the top dimension these are the facets themselves, already sorted
+    and free of duplicates because build_complex (the only constructor)
+    keeps them so.
+    """
     if k < 0 or k > K.d - 1:
         raise KOutOfRange("k=%d outside 0..%d" % (k, K.d - 1))
+    if k == K.d - 1:
+        return list(K.facets)
     out = set()
     for f in K.facets:
         out.update(combinations(f, k + 1))

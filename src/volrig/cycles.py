@@ -23,7 +23,7 @@ from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
                      default_field)
 from .rigidity import (Placement, RigidityReport, generic_rank,
                        random_placement, rigidity_matrix, target_rank)
-from .shifting import characteristic_membership
+from .shifting import _membership
 
 GF2 = PrimeField(2)
 
@@ -226,9 +226,11 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
     """Per complex: rank report, shifting membership, irreducibility.
 
     Irreducibility here means only that no admissible contraction
-    exists; no homeomorphism typing is attempted.
+    exists; no homeomorphism typing is attempted.  Complexes on equal
+    vertex counts share their shifting bases, which depend only on n.
     """
     entries = []
+    bases = {}
     rigid = member = irreducible = 0
     arithmetic = None
     for idx, K in enumerate(ds.complexes):
@@ -236,8 +238,7 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
         arithmetic = rep.arithmetic
         mem = None
         if K.d >= 3 and K.n >= K.d + 1:
-            mem = characteristic_membership(K, trials=trials, seed=seed,
-                                            field=field).member
+            mem = _membership(K, trials, seed, field, bases).member
         fixed = _admissible_edge(K) is None
         entries.append({
             "index": idx, "n": K.n, "d": K.d, "facets": K.num_facets,

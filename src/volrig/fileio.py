@@ -12,7 +12,6 @@ A dataset directory holds one complex file per triangulation plus a
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 from .complexes import SimplicialComplex, build_complex
@@ -73,6 +72,7 @@ def write_complex(K: SimplicialComplex, path: str) -> None:
 
 
 def sha256_file(path: str) -> str:
+    import hashlib  # only dataset loading needs it; keeps CLI start-up lean
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):

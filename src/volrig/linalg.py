@@ -31,8 +31,9 @@ DEFAULT_PRIME = PRIME_TABLE[0]
 # C(n,d) x (d-1)n wedge matrix and the boundary matrix.  On a 2-core VM
 # (Python 3.11) sampling and checking an n = 500 basis (250k entries) took
 # 15 s and 67 MB, growing as n^3; a 250k-entry wedge matrix builds and
-# eliminates in under a second, while a 227k-entry shifting matrix
-# (n = 30, partial order, one basis) took 12 s.
+# eliminates in under a second, and the largest accepted partial-order
+# shift, a 227k-entry shifting matrix (n = 30, one basis), runs in
+# 0.7-1.3 s as a whole `shift --trials 1` job.
 # The benchmark's largest are a 180 x 176 rigidity matrix, a 576-entry
 # basis, a 16 x 120 shifting matrix, a 44 x 42 membership span matrix,
 # a 3402-entry wedge matrix and a 280 x 140 boundary matrix.

@@ -139,12 +139,22 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
     if sigma[-1] > basis.n:
         raise VertexOutOfRange("sigma %r exceeds basis size n=%d"
                                % (sigma, basis.n))
+    return _compound(basis, _face_rows(K, k, basis), sigma)
+
+
+def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
+    """0-based index tuples of K's size-k faces in lex order: the row
+    indices of every size-k compound vector against K."""
     if K.n != basis.n:
         raise DimensionMismatch("complex has n=%d, basis has n=%d"
                                 % (K.n, basis.n))
+    return [tuple(t - 1 for t in tau) for tau in k_faces(K, k - 1)]
+
+
+def _compound(basis: GenericBasis, face_rows: list, sigma) -> list:
+    """compound_vector of sigma, given K's face rows from _face_rows."""
     cols = tuple(s - 1 for s in sigma)
-    return [basis.minor(tuple(t - 1 for t in tau), cols)
-            for tau in k_faces(K, k - 1)]
+    return [basis.minor(rows, cols) for rows in face_rows]
 
 
 def _predecessors(sigma, n: int, order: str) -> list:
@@ -180,11 +190,30 @@ def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
     return not _span_matrix(cols, basis.field).in_column_span(vec)
 
 
-def _span_rows(vectors: list, field) -> list:
-    """Echelon rows spanning the given vectors.  Given independent rows
-    plus one vector, the result is one row longer exactly when the
-    vector escapes the span of the rows."""
-    return ExactMatrix(vectors, field, _trusted=True)._echelon()[0]
+def _escape(rows: list, vec: list, q: int):
+    """The row that vec adds to the span of semi-echelon rows over GF(q),
+    or None when vec lies in their span.  (Generic bases are always
+    sampled over a prime field.)
+
+    A row is (pivot, [(column, entry)] of its nonzeros): its pivot entry
+    is one and every earlier row's pivot column is zero in it.  So
+    clearing each row's pivot in turn leaves the earlier pivots cleared,
+    and what remains of vec, scaled, is such a row for the rows given.
+    Rows are never changed, so spans that share rows may share them.
+    Entries of vec are reduced mod q only where read, and once at the end.
+    """
+    v = list(vec)
+    for p, terms in rows:
+        c = v[p] % q
+        if c:
+            for j, x in terms:
+                v[j] -= c * x
+    v = [x % q for x in v]
+    p = next((j for j, x in enumerate(v) if x), None)
+    if p is None:
+        return None
+    s = pow(v[p], -1, q)
+    return p, [(j, x * s % q) for j, x in enumerate(v) if x]
 
 
 def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
@@ -194,21 +223,25 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
     face_order must list every size-k subset of the label range exactly
     once.  A greedy streaming test suffices for total orders: the span
     of all earlier vectors equals the span of the earlier members, kept
-    here as the echelon rows of the members found so far.
+    here as the semi-echelon rows of the members found so far.  Once
+    they span all of K's size-k faces no later vector can escape, and
+    the walk stops.
     """
     _check_level(K, k)
     expected = set(combinations(range(1, basis.n + 1), k))
     order_list = [as_face(t) for t in face_order]
     if len(order_list) != len(expected) or set(order_list) != expected:
         raise BadParameters("face_order must enumerate all size-%d subsets" % k)
+    face_rows = _face_rows(K, k, basis)
+    q = basis.field.q
     members, rows = [], []
     for sigma in order_list:
-        vec = compound_vector(basis, K, sigma)
-        if any(vec):
-            grown = _span_rows(rows + [vec], basis.field)
-            if len(grown) > len(rows):
-                members.append(sigma)
-                rows = grown
+        if len(rows) == len(face_rows):
+            break
+        row = _escape(rows, _compound(basis, face_rows, sigma), q)
+        if row:
+            members.append(sigma)
+            rows.append(row)
     return sorted(members)
 
 
@@ -227,17 +260,21 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     the partial order, so each set comes after its whole down-set.  The
     span of a down-set's vectors is the span of the vectors of the
     members in it (induction along the order: a non-member's vector lies
-    in the span of its own strict down-set).  Each set keeps the echelon
-    rows of the span of its closed down-set and the members that down-set
-    holds.  A set's strict down-set is the union of the closed down-sets
-    of its covers (the set with one entry lowered by one), so its span is
-    the span of the largest cover's rows plus the vectors of the members
-    only the other covers hold; the set is a member when its vector
-    escapes that span.  This is the definitional test of
-    in_shifted_family, with one or two eliminations per set instead of a
-    span matrix of all predecessors.  Covers share the set's first label
-    or the one before, so memoised spans are dropped once the first
-    label has moved two past theirs.
+    in the span of its own strict down-set).  Each set keeps the
+    semi-echelon rows of the span of its closed down-set and the members
+    that down-set holds.  A set's strict down-set is the union of the
+    closed down-sets of its covers (the set with one entry lowered by
+    one), so its span is the span of the largest cover's rows plus the
+    vectors of the members only the other covers hold; the set is a
+    member when its vector escapes that span.  This is the definitional
+    test of in_shifted_family, reducing a few vectors against shared rows
+    per set instead of eliminating a span matrix of all predecessors.  A
+    span of full dimension (one row per size-k face of K) admits no
+    member above it, so such a set skips the merge and its own vector;
+    its member set may then be incomplete, which no set above it can
+    tell, as each of those has a full-span cover too.  Covers share the
+    set's first label or the one before, so memoised spans are dropped
+    once the first label has moved two past theirs.
     """
     _check_level(K, k)
     if order == "lex":
@@ -245,7 +282,8 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
             K, k, basis, combinations(range(1, basis.n + 1), k))
     if order != "p":
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
-    f = basis.field
+    face_rows = _face_rows(K, k, basis)
+    q = basis.field.q
     vecs = {}
     first, prev, cur = 1, {}, {}
     for sigma in combinations(range(1, basis.n + 1), k):
@@ -255,15 +293,20 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
                  for tau in _covers(sigma)]
         rows, members = max(spans, key=lambda s: len(s[0]),
                             default=([], frozenset()))
-        extra = sorted(frozenset().union(*(m for _, m in spans)) - members)
-        if extra:
-            rows = _span_rows(rows + [vecs[m] for m in extra], f)
-            members = members.union(extra)
-        vec = compound_vector(basis, K, sigma)
-        if any(vec):
-            grown = _span_rows(rows + [vec], f)
-            if len(grown) > len(rows):
-                rows, members = grown, members | {sigma}
+        if len(rows) < len(face_rows):
+            extra = sorted(frozenset().union(*(m for _, m in spans))
+                           - members)
+            if extra:
+                rows = list(rows)
+                for m in extra:
+                    row = _escape(rows, vecs[m], q)
+                    if row:
+                        rows.append(row)
+                members = members.union(extra)
+            vec = _compound(basis, face_rows, sigma)
+            row = _escape(rows, vec, q)
+            if row:
+                rows, members = rows + [row], members | {sigma}
                 vecs[sigma] = vec
         cur[sigma] = (rows, members)
     return sorted(vecs)
@@ -314,6 +357,15 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
     mixed votes also need each basis's predecessor rank, taken from the
     same bases.
     """
+    return _membership(K, trials, seed, field, {})
+
+
+def _membership(K: SimplicialComplex, trials: int, seed: int, field,
+                bases: dict) -> MembershipReport:
+    """characteristic_membership with the bases generic_basis(n, seed + t)
+    for t < trials kept in bases under n: drawn on first use, reused by
+    later complexes on n vertices that the caller checks with the same
+    trials, seed and field."""
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     if field is None:
@@ -321,14 +373,17 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
     face = characteristic_face(K.d, K.n)
     check_dense_size(K.num_facets, (K.n - K.d) * (K.d - 1),
                      "membership span matrix")
-    bases = [generic_basis(K.n, seed + t, field=field) for t in range(trials)]
-    votes = tuple(in_shifted_family(K, face, b) for b in bases)
+    drawn = bases.get(K.n)
+    if drawn is None:
+        drawn = bases[K.n] = [generic_basis(K.n, seed + t, field=field)
+                              for t in range(trials)]
+    votes = tuple(in_shifted_family(K, face, b) for b in drawn)
     member = all(votes)
     if any(votes) and not member:
         preds = _predecessors(face, K.n, "p")
         ranks = [_span_matrix([compound_vector(b, K, s) for s in preds],
                               field).rank()
-                 for b in bases]
+                 for b in drawn]
         # The best rank with the face exceeds the best without it exactly
         # when a basis voting yes reaches the best predecessor rank.
         member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)

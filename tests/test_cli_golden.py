@@ -14,7 +14,7 @@ import pytest
 
 from helpers import (csaszar_torus, fresh_rng, make_dataset, octahedron,
                      projective_plane_six, random_complex, single_triangle,
-                     tetra)
+                     stacked_sphere, tetra)
 from volrig import build_complex, cone, write_complex
 from volrig.cli import run_command
 from volrig.sparsity import bipartite_complete_graph
@@ -70,6 +70,9 @@ COMMANDS = [
     "shift --in tetra.txt --level 5",
     "sigma0 --in tri.txt",
     "psi --d 3 --n 100000",
+    "shift --in stacked.txt",
+    "shift --in stacked.txt --order lex --level 2 --json",
+    "verify-dataset --dir repeats --trials 2 --seed 7",
 ]
 
 
@@ -80,11 +83,15 @@ def write_inputs(root):
                     ("flex", cone(bipartite_complete_graph())),
                     ("rand", random_complex(fresh_rng(5), 7, 3, 14)),
                     ("tri", single_triangle()),
-                    ("tail", build_complex(5, tetra().facets + ((1, 2, 5),)))):
+                    ("tail", build_complex(5, tetra().facets + ((1, 2, 5),))),
+                    ("stacked", stacked_sphere(fresh_rng(3), 3, 9))):
         write_complex(K, os.path.join(root, name + ".txt"))
     with open(os.path.join(root, "bad.txt"), "w", encoding="ascii") as fh:
         fh.write("4 3\n1 2\n")
     make_dataset(os.path.join(root, "spheres"), [tetra(), octahedron()])
+    make_dataset(os.path.join(root, "repeats"),
+                 [octahedron(), tetra(), projective_plane_six(),
+                  stacked_sphere(fresh_rng(4), 3, 6), csaszar_torus()])
 
 
 def report_digest(command):

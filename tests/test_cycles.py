@@ -7,9 +7,9 @@ import pytest
 
 from helpers import (csaszar_torus, fresh_rng, octahedron,
                      projective_plane_six, random_complex, single_triangle,
-                     tetra)
+                     stacked_sphere, tetra)
 from volrig import (build_complex, contract_edge, facets_containing,
-                    is_volume_rigid, k_faces, union_complex)
+                    is_volume_rigid, k_faces, shifting, union_complex)
 from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            boundary_operator, chain_boundary, chain_vector,
                            contraction_reduce, cycle_space,
@@ -20,6 +20,8 @@ from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
 from volrig.errors import BadParameters, ChainOutsideComplex, InvalidFace
 from volrig.linalg import QQ, default_field
 from volrig.rigidity import Placement, generic_rank, random_placement
+from volrig.shifting import characteristic_membership
+from volrig.sparsity import build_counterexample
 
 
 def test_boundary_of_boundary_vanishes():
@@ -293,3 +295,29 @@ def test_verify_dataset_counts():
     assert rep.entries[0]["irreducible"]
     assert not rep.entries[1]["irreducible"]
     assert rep.entries[1]["rank"] == 7
+
+
+def test_verify_dataset_shares_bases_by_vertex_count(monkeypatch):
+    # Complexes on equal vertex counts reuse one set of bases, and each
+    # verdict is still the one characteristic_membership gives alone.
+    rng = fresh_rng(29)
+    complexes = (octahedron(), projective_plane_six(), tetra(),
+                 stacked_sphere(rng, 3, 6), csaszar_torus(),
+                 build_counterexample(3), stacked_sphere(rng, 3, 7))
+    ds = SurfaceDataset(name="mixed", d=3, complexes=complexes,
+                        provenance="handmade")
+    drawn = []
+    real = shifting.generic_basis
+
+    def counting(n, seed=0, field=None):
+        drawn.append((n, seed))
+        return real(n, seed, field)
+
+    monkeypatch.setattr(shifting, "generic_basis", counting)
+    rep = verify_dataset(ds, trials=2, seed=4)
+    assert sorted(drawn) == [(n, 4 + t) for n in (4, 6, 7) for t in (0, 1)]
+    monkeypatch.undo()
+    members = [e["member"] for e in rep.entries]
+    assert members == [characteristic_membership(K, 2, 4).member
+                       for K in complexes]
+    assert False in members

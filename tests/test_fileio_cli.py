@@ -264,15 +264,26 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
         assert text.startswith("error: ") and "entry limit" in text
 
 
-def test_cli_import_leaves_dataclasses_out():
-    # Value types are named tuples, so start-up never loads dataclasses.
-    # -S keeps site hooks from importing it first.
+def loaded_after_cli_import(*names):
+    """Which of the named modules `import volrig.cli` loads, in a fresh
+    interpreter whose -S keeps site hooks from importing them first."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(volrig.__file__)))
     code = ("import sys; sys.path.insert(0, %r); import volrig.cli; "
-            "print('dataclasses' in sys.modules)" % src)
+            "print([m for m in %r if m in sys.modules])" % (src, names))
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out == "False\n"
+    return out.strip()
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # Value types are named tuples, so start-up never loads dataclasses.
+    assert loaded_after_cli_import("dataclasses") == "[]"
+
+
+def test_cli_import_leaves_hashlib_and_json_out():
+    # Only dataset checksums need hashlib and only --json reports need
+    # json, so each is imported where it is used.
+    assert loaded_after_cli_import("hashlib", "json") == "[]"
 
 
 def test_cli_sparsity(tetra_file):

@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 
 from helpers import (cone_with_smallest_apex, fresh_rng, random_complex,
-                     random_linear_extension, random_shifted_complex, tetra)
-from volrig import (build_complex, complete_complex, cone)
+                     random_linear_extension, random_shifted_complex,
+                     stacked_sphere, tetra)
+from volrig import (build_complex, complete_complex, cone, k_faces)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            SizeExceedsDimension)
 from volrig.linalg import ExactMatrix, PrimeField, default_field
@@ -181,6 +182,26 @@ def test_level_membership_matches_definitional_test():
                 level = set(shifted_level(K, k, b))
                 for sigma in combinations(range(1, 7), k):
                     assert (sigma in level) == in_shifted_family(K, sigma, b)
+    # Stacked 2-spheres, whose spans fill up long before the last set, so
+    # both walks take their full-span exit.
+    for field in (GF, PrimeField(13)):
+        rng = fresh_rng(61)
+        for n in (7, 8):
+            K = stacked_sphere(rng, 3, n)
+            b = generic_basis(n, seed=rng.randrange(10 ** 6), field=field)
+            for k in (2, 3):
+                for order in ("p", "lex"):
+                    level = set(shifted_level(K, k, b, order))
+                    for sigma in combinations(range(1, n + 1), k):
+                        assert (sigma in level) == in_shifted_family(
+                            K, sigma, b, order)
+                if field == GF:
+                    # Lex members span all size-k faces before the last
+                    # set, which the partial order puts above every
+                    # other set.
+                    lex = shifted_level(K, k, b, "lex")
+                    assert len(lex) == len(k_faces(K, k - 1))
+                    assert lex[-1] < tuple(range(n - k + 1, n + 1))
 
 
 def test_lex_level_preserves_facet_count():
