@@ -5,6 +5,23 @@ subset A with |A| >= d spans at most a|A| - b facets, and tight when in
 addition the whole vertex set attains the bound.  The regime matching
 volume rigidity is a = d-1, b = d*d-d-1: tight complexes then have
 exactly the facet count of a minimally rigid complex.
+
+In the matroidal range 0 <= b < d a, which contains the volume regime,
+sparsity is decided by the (a, b) pebble game (Lee & Streinu, "Pebble
+game algorithms and sparse graphs", 2008; Streinu & Theran, "Sparse
+hypergraphs and pebble game algorithms", 2009).  Every vertex of a facet
+starts with a free pebbles; a facet is accepted once b+1 free pebbles
+can be gathered on its vertices, and one of them then pins it.  The
+facets are sparse exactly when all of them are accepted.  A witness is
+then an inclusion-minimal violator: starting from the vertices that
+occur in a facet, each vertex in decreasing label order is dropped
+while the facets on the rest are still not sparse.  It violates the
+bound and no proper subset of it does; it need not be a smallest
+violator, which no polynomial algorithm is known to find.
+
+Outside that range every vertex subset is scanned for a witness of
+smallest size, then first in lex order, and complexes with more than
+BRUTE_FORCE_CAP vertices are refused.
 """
 
 from __future__ import annotations
@@ -15,6 +32,7 @@ from math import comb
 
 from .complexes import SimplicialComplex, build_complex, cone
 from .errors import BadParameters, InstanceTooLarge, NotSparse
+from .linalg import MAX_DENSE_ENTRIES
 
 BRUTE_FORCE_CAP = 22
 
@@ -70,13 +88,109 @@ def _violation(n: int, masks, params: SparsityParams, within: int = 0):
     return None
 
 
+class _PebbleGame:
+    """State of the (a, b) pebble game, keyed by the vertices offered so
+    far: each one's free pebbles and the accepted facets it pins."""
+
+    __slots__ = ("a", "b", "free", "pinned")
+
+    def __init__(self, a: int, b: int, free=None, pinned=None):
+        self.a, self.b = a, b
+        self.free = {} if free is None else free
+        self.pinned = {} if pinned is None else pinned
+
+    def copy(self) -> "_PebbleGame":
+        return _PebbleGame(self.a, self.b, dict(self.free),
+                           {v: set(fs) for v, fs in self.pinned.items()})
+
+    def offer(self, facet) -> bool:
+        """Accept the facet if the held facets stay sparse with it."""
+        for v in facet:
+            if v not in self.free:
+                self.free[v] = self.a
+                self.pinned[v] = set()
+        while sum(self.free[v] for v in facet) <= self.b:
+            if not self._fetch(facet):
+                return False
+        owner = next(v for v in facet if self.free[v])
+        self.free[owner] -= 1
+        self.pinned[owner].add(facet)
+        return True
+
+    def remove(self, facet) -> None:
+        """Drop an accepted facet; its pebble goes back to its owner."""
+        owner = next(v for v in facet if facet in self.pinned[v])
+        self.pinned[owner].remove(facet)
+        self.free[owner] += 1
+
+    def _fetch(self, facet) -> bool:
+        """Bring one free pebble onto the facet from a vertex outside it,
+        re-pinning every facet on the path to the next vertex along it."""
+        via = dict.fromkeys(facet)
+        stack = list(facet)
+        while stack:
+            u = stack.pop()
+            for f in self.pinned[u]:
+                for w in f:
+                    if w in via:
+                        continue
+                    via[w] = (u, f)
+                    if self.free[w]:
+                        self.free[w] -= 1
+                        while via[w] is not None:
+                            u, f = via[w]
+                            self.pinned[u].remove(f)
+                            self.pinned[w].add(f)
+                            w = u
+                        self.free[w] += 1
+                        return True
+                    stack.append(w)
+        return False
+
+
+def _in_range(params: SparsityParams) -> bool:
+    """Whether (a, b) lies in the matroidal range 0 <= b < d a."""
+    return params.b < params.d * params.a
+
+
+def _minimal_violator(game: _PebbleGame, pending) -> tuple:
+    """Inclusion-minimal violating vertex set, given a game holding a
+    sparse part of the facets and the non-empty list of the rest.
+
+    Each vertex, in decreasing label order, is dropped when the facets
+    on the other kept vertices are still not sparse.  Deleting
+    facets from a game leaves a valid game, so each test copies the game,
+    deletes the facets through the vertex and offers only the pending
+    facets that avoid it.
+    """
+    kept = set(game.free).union(*pending)
+    for v in sorted(kept, reverse=True):
+        trial = game.copy()
+        for f in [f for fs in trial.pinned.values() for f in fs if v in f]:
+            trial.remove(f)
+        rest = [f for f in pending if v not in f]
+        for i, f in enumerate(rest):
+            if not trial.offer(f):
+                kept.discard(v)
+                game, pending = trial, rest[i:]
+                break
+    return tuple(sorted(kept))
+
+
 def is_sparse(K: SimplicialComplex, params: SparsityParams):
-    """(verdict, witness): witness is a minimum-size violator or None."""
+    """(verdict, witness): witness is a violating vertex set or None;
+    inclusion-minimal in the matroidal range, of minimum size outside."""
     if params.d != K.d:
         raise BadParameters("params.d=%d but complex has d=%d"
                             % (params.d, K.d))
-    w = _violation(K.n, [_mask(s) for s in K.facets], params)
-    return (w is None, w)
+    if not _in_range(params):
+        w = _violation(K.n, [_mask(s) for s in K.facets], params)
+        return (w is None, w)
+    game = _PebbleGame(params.a, params.b)
+    for i, f in enumerate(K.facets):
+        if not game.offer(f):
+            return (False, _minimal_violator(game, K.facets[i:]))
+    return (True, None)
 
 
 def is_tight(K: SimplicialComplex, params: SparsityParams) -> bool:
@@ -84,22 +198,39 @@ def is_tight(K: SimplicialComplex, params: SparsityParams) -> bool:
     return ok and K.num_facets == params.bound(K.n)
 
 
+def _acceptor(n: int, params: SparsityParams, facets):
+    """Callable that takes a new facet when the held facets, starting
+    from the given sparse ones, stay sparse with it."""
+    if _in_range(params):
+        game = _PebbleGame(params.a, params.b)
+        for f in facets:
+            game.offer(f)
+        return game.offer
+    masks = [_mask(s) for s in facets]
+
+    def accept(cand) -> bool:
+        masks.append(_mask(cand))
+        if _violation(n, masks, params, within=masks[-1]) is None:
+            return True
+        masks.pop()
+        return False
+    return accept
+
+
 def _greedy_complete(n: int, params: SparsityParams, start_facets):
-    """Add lex-ordered candidates while sparsity survives; only supersets
-    of a new facet can newly violate the bound."""
+    """Add lex-ordered candidates while sparsity survives, up to the
+    tight count a n - b, which is refused above MAX_DENSE_ENTRIES."""
     have = set(start_facets)
-    masks = [_mask(s) for s in have]
     target = params.bound(n)
+    if target > MAX_DENSE_ENTRIES:
+        raise InstanceTooLarge("completion would hold %d facets, above the "
+                               "%d-entry limit" % (target, MAX_DENSE_ENTRIES))
+    accept = _acceptor(n, params, have)
     for cand in combinations(range(1, n + 1), params.d):
         if len(have) >= target:
             break
-        if cand in have:
-            continue
-        masks.append(_mask(cand))
-        if _violation(n, masks, params, within=masks[-1]) is None:
+        if cand not in have and accept(cand):
             have.add(cand)
-        else:
-            masks.pop()
     return sorted(have)
 
 

@@ -73,10 +73,14 @@ COMMANDS = [
     "shift --in stacked.txt",
     "shift --in stacked.txt --order lex --level 2 --json",
     "verify-dataset --dir repeats --trials 2 --seed 7",
+    "sparsity --in stacked.txt",
+    "tight --in stacked1.txt",
+    "complete-basis --in stacked2.txt",
 ]
 
 
 def write_inputs(root):
+    stacked = stacked_sphere(fresh_rng(3), 3, 9)
     for name, K in (("tetra", tetra()), ("octa", octahedron()),
                     ("torus", csaszar_torus()),
                     ("rp2", projective_plane_six()),
@@ -84,7 +88,9 @@ def write_inputs(root):
                     ("rand", random_complex(fresh_rng(5), 7, 3, 14)),
                     ("tri", single_triangle()),
                     ("tail", build_complex(5, tetra().facets + ((1, 2, 5),))),
-                    ("stacked", stacked_sphere(fresh_rng(3), 3, 9))):
+                    ("stacked", stacked),
+                    ("stacked1", build_complex(9, stacked.facets[1:])),
+                    ("stacked2", build_complex(9, stacked.facets[2:]))):
         write_complex(K, os.path.join(root, name + ".txt"))
     with open(os.path.join(root, "bad.txt"), "w", encoding="ascii") as fh:
         fh.write("4 3\n1 2\n")

@@ -297,6 +297,24 @@ def test_cli_sparsity(tetra_file):
     assert "SPARSE yes" in text
 
 
+def test_cli_sparsity_commands_on_a_huge_header(tmp_path):
+    # The pebble game only sees the vertices that occur, so the checks
+    # answer at once; completion would write a n - b facets and refuses.
+    path = os.path.join(tmp_path, "huge.txt")
+    with open(path, "w") as fh:
+        fh.write("1000000000 3\n1 2 3\n")
+    code, text = run_command(["sparsity", "--in", path])
+    assert code == 0
+    assert "SPARSE yes" in text
+    code, text = run_command(["tight", "--in", path])
+    assert code == 1
+    assert "facets 1 bound 1999999995" in text
+    assert "TIGHT no" in text
+    code, text = run_command(["complete-basis", "--in", path])
+    assert (code, text) == (2, "error: completion would hold 1999999995 "
+                               "facets, above the 250000-entry limit\n")
+
+
 def test_cli_sparsity_rejects_half_params(tetra_file):
     code, text = run_command(["sparsity", "--in", tetra_file, "--a", "2"])
     assert code == 2

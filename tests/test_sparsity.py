@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from helpers import bipartite33, fresh_rng, random_complex, tetra
+from helpers import (bipartite33, fresh_rng, random_complex, stacked_sphere,
+                     tetra)
 from volrig import build_complex, cone, is_volume_rigid
 from volrig.errors import BadParameters, InstanceTooLarge, NotSparse
 from volrig.sparsity import (SparsityParams, bipartite_complete_graph,
@@ -188,15 +189,27 @@ def test_sparse_facet_sets_with_independent_columns():
 
 
 def test_brute_force_cap():
-    # One vertex past the cap; scanning 2^23 vertex sets would not finish
-    # within the test run, so each entry point refuses before scanning.
+    # One vertex past the cap; outside the matroidal range every vertex
+    # set is scanned, and 2^23 of them would not finish within the test
+    # run, so each entry point refuses before scanning.
     K = build_complex(23, [(1, 2, 3), (21, 22, 23)])
-    for call in (lambda: is_sparse(K, VOL3), lambda: is_tight(K, VOL3),
-                 lambda: complete_to_sparse_basis(K, VOL3),
-                 lambda: greedy_sparse_basis(23, VOL3)):
+    params = SparsityParams(a=2, b=9, d=3)
+    for call in (lambda: is_sparse(K, params), lambda: is_tight(K, params),
+                 lambda: complete_to_sparse_basis(K, params),
+                 lambda: greedy_sparse_basis(23, params)):
         with pytest.raises(InstanceTooLarge,
                            match="^n=23 exceeds brute-force cap 22$"):
             call()
+
+
+def test_in_range_parameters_answer_past_the_cap():
+    K = build_complex(23, [(1, 2, 3), (21, 22, 23)])
+    assert is_sparse(K, VOL3) == (True, None)
+    assert not is_tight(K, VOL3)
+    done = complete_to_sparse_basis(K, VOL3)
+    assert done.num_facets == VOL3.bound(23)
+    assert is_tight(done, VOL3)
+    assert greedy_sparse_basis(23, VOL3).num_facets == VOL3.bound(23)
 
 
 def reference_violation(K, params):
@@ -220,9 +233,23 @@ def reference_completion(K, params):
     return build_complex(K.n, facets)
 
 
+def violates(K, params, A):
+    return len(A) >= params.d and spanned_count(K, A) > params.bound(len(A))
+
+
+def minimal_violators(K, params):
+    """Every violating vertex set with no violating proper subset."""
+    bad = [set(A) for m in range(params.d, K.n + 1)
+           for A in combinations(range(1, K.n + 1), m)
+           if violates(K, params, A)]
+    return [A for A in bad if not any(B < A for B in bad)]
+
+
 def test_scan_matches_definitional_reference():
-    # In range means 0 <= b < d a, the matroidal range of sparsity; the
-    # last two parameter pairs lie outside it.
+    # In range means 0 <= b < d a, the matroidal range of sparsity, where
+    # the pebble game decides and the witness is an inclusion-minimal
+    # violator; the last two parameter pairs lie outside it and keep the
+    # smallest-then-lex witness.
     rng = fresh_rng(31)
     for trial in range(15):
         d = 2 + trial % 3
@@ -233,7 +260,17 @@ def test_scan_matches_definitional_reference():
                        SparsityParams(a=1, b=d, d=d),
                        SparsityParams(a=2, b=3 * d, d=d)):
             want = reference_violation(K, params)
-            assert is_sparse(K, params) == (want is None, want)
+            ok, witness = is_sparse(K, params)
+            assert ok == (want is None)
+            if params.b >= params.d * params.a or want is None:
+                assert witness == want
+            else:
+                assert violates(K, params, witness)
+                assert not any(violates(K, params, A)
+                               for m in range(len(witness))
+                               for A in combinations(witness, m))
+                if len(minimal_violators(K, params)) == 1:
+                    assert witness == want
             assert is_tight(K, params) == (
                 want is None and K.num_facets == params.bound(K.n))
             if want is None:
@@ -251,3 +288,49 @@ def test_negative_bound_is_definitional():
     ok, witness = is_sparse(K, harsh)
     assert not ok
     assert witness is not None and len(witness) >= 3
+
+
+def test_witness_is_inclusion_minimal_not_smallest():
+    # K4 on {5,6,7,8} is the smallest (2,3)-violator, but dropping labels
+    # from the top first keeps K5 minus two disjoint edges on {1,...,5},
+    # which also violates (8 > 2*5 - 3) and has no violating subset.
+    k5 = [e for e in combinations(range(1, 6), 2) if e not in ((1, 2), (3, 4))]
+    K = build_complex(8, k5 + list(combinations(range(5, 9), 2)))
+    params = SparsityParams(a=2, b=3, d=2)
+    assert reference_violation(K, params) == (5, 6, 7, 8)
+    assert is_sparse(K, params) == (False, (1, 2, 3, 4, 5))
+
+
+def replayed_witness(K, params):
+    """The witness by definition: drop each vertex, in decreasing label
+    order, while the facets on the rest are still not sparse."""
+    kept = set(K.vertices())
+    for v in sorted(kept, reverse=True):
+        rest = [f for f in K.facets if v not in f and kept.issuperset(f)]
+        if rest and not is_sparse(build_complex(K.n, rest), params)[0]:
+            kept.discard(v)
+    return tuple(sorted(kept))
+
+
+def test_witness_matches_vertex_by_vertex_replay():
+    rng = fresh_rng(41)
+    for d, n, f in ((2, 14, 30), (3, 14, 40), (3, 20, 45), (4, 12, 40)):
+        K = random_complex(rng, n, d, f)
+        params = SparsityParams.volume_regime(d)
+        ok, witness = is_sparse(K, params)
+        assert not ok
+        assert witness == replayed_witness(K, params)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_stacked_spheres_on_200_vertices(d):
+    # A stacked (d-1)-sphere has one facet more than the tight count and
+    # is tight without any one facet.  Every proper vertex subset misses
+    # some facet, so the whole vertex set is its only violator.
+    params = SparsityParams.volume_regime(d)
+    K = stacked_sphere(fresh_rng(d), d, 200)
+    assert is_sparse(K, params) == (False, tuple(range(1, 201)))
+    assert is_tight(build_complex(200, K.facets[1:]), params)
+    less = build_complex(200, K.facets[2:])
+    assert (complete_to_sparse_basis(less, params).num_facets
+            == less.num_facets + 1)
