@@ -53,16 +53,25 @@ def random_complex(rng, n, d, f=None):
     return build_complex(n, rng.sample(pool, f))
 
 
-def stacked_sphere(rng, d, n):
-    """Stacked (d-1)-sphere on n >= d+1 vertices, randomly relabelled:
-    the boundary of a simplex with n-d-1 random facets subdivided."""
-    facets = list(combinations(range(1, d + 2), d))
-    for v in range(d + 2, n + 1):
+def stack(rng, K, k):
+    """K with k random facets subdivided, each by a fresh vertex, then
+    randomly relabelled: the same surface (or sphere) with k more
+    vertices."""
+    facets = list(K.facets)
+    n = K.n + k
+    for v in range(K.n + 1, n + 1):
         f = facets.pop(rng.randrange(len(facets)))
         facets.extend(tuple(u for u in f if u != w) + (v,) for w in f)
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
     return build_complex(n, [sorted(perm[v - 1] for v in f) for f in facets])
+
+
+def stacked_sphere(rng, d, n):
+    """Stacked (d-1)-sphere on n >= d+1 vertices, randomly relabelled:
+    the boundary of a simplex with n-d-1 random facets subdivided."""
+    simplex = build_complex(d + 1, list(combinations(range(1, d + 2), d)))
+    return stack(rng, simplex, n - d - 1)
 
 
 def random_shifted_complex(rng, n, d, seeds=2):

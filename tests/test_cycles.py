@@ -7,8 +7,8 @@ import pytest
 
 from helpers import (csaszar_torus, fresh_rng, octahedron,
                      projective_plane_six, random_complex, single_triangle,
-                     stacked_sphere, tetra)
-from volrig import (build_complex, contract_edge, facets_containing,
+                     stack, stacked_sphere, tetra)
+from volrig import (build_complex, contract_edge, cycles, facets_containing,
                     is_volume_rigid, k_faces, shifting, union_complex)
 from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            boundary_operator, chain_boundary, chain_vector,
@@ -222,11 +222,81 @@ def test_contraction_reduce_octahedron_to_tetra():
     assert log == [(1, 2), (1, 2)]
 
 
+def reference_admissible_edge(K):
+    """The lex-first admissible edge, by testing every edge in turn."""
+    if K.d < 2:
+        return None
+    return next((e for e in k_faces(K, 1) if default_admissible(K, *e)),
+                None)
+
+
+def reference_reduce(K):
+    """contraction_reduce's rule, one lex scan per round."""
+    log = []
+    while (e := reference_admissible_edge(K)) is not None:
+        K = contract_edge(K, *e)
+        log.append(e)
+    return K, log
+
+
+def stacked_surfaces(rng):
+    """Stacked, relabelled tori and projective planes, 1 to 6 vertices
+    above the 7-vertex torus and the 6-vertex RP^2."""
+    return [stack(rng, K, k) for K in (csaszar_torus(), projective_plane_six())
+            for k in range(1, 7)]
+
+
 def test_contraction_reduce_fixed_points():
     for K in (tetra(), csaszar_torus(), projective_plane_six()):
         fixed, log = contraction_reduce(K)
         assert fixed == K
         assert log == []
+    for K in stacked_surfaces(fresh_rng(31)):
+        fixed, log = contraction_reduce(K)
+        assert (fixed, log) == reference_reduce(K)
+        assert len(log) == K.n - fixed.n
+        assert reference_admissible_edge(fixed) is None
+
+
+def test_contraction_reduce_matches_lex_scan():
+    # Random pure complexes, most of them not manifolds, in d = 2, 3, 4.
+    rng = fresh_rng(37)
+    complexes = [random_complex(rng, rng.randint(d + 1, 8), d)
+                 for d in (2, 3, 4) for _ in range(60)]
+    complexes += [stacked_sphere(rng, d, 12) for d in (3, 4)]
+    # Contracting (3, 8) makes (1, 2) admissible although neither end is
+    # a neighbour of the merged vertex 3 afterwards.
+    complexes.append(build_complex(8, [
+        (1, 2, 5), (1, 2, 6), (1, 2, 7), (1, 3, 8), (1, 4, 6), (1, 5, 7),
+        (2, 3, 8), (3, 5, 7), (3, 7, 8), (6, 7, 8)]))
+    for K in complexes:
+        assert contraction_reduce(K) == reference_reduce(K)
+    assert contraction_reduce(complexes[-1])[1] == [(3, 8), (1, 2), (2, 6)]
+
+
+def test_contraction_reduce_confirms_each_step(monkeypatch):
+    K = stack(fresh_rng(41), octahedron(), 6)
+    calls = {"admissible": 0, "contract": 0}
+    real_admissible, real_contract = default_admissible, contract_edge
+
+    def admissible(K, u, w):
+        calls["admissible"] += 1
+        return real_admissible(K, u, w)
+
+    def contract(K, u, w):
+        calls["contract"] += 1
+        return real_contract(K, u, w)
+
+    monkeypatch.setattr(cycles, "default_admissible", admissible)
+    monkeypatch.setattr(cycles, "contract_edge", contract)
+    fixed, log = contraction_reduce(K)
+    assert fixed == tetra()
+    assert log
+    assert calls == {"admissible": len(log), "contract": len(log)}
+    monkeypatch.setattr(cycles, "default_admissible", lambda K, u, w: False)
+    with pytest.raises(RuntimeError):
+        contraction_reduce(K)
+    assert calls["contract"] == len(log)
 
 
 def test_contraction_rigidity_implication():
@@ -282,18 +352,22 @@ def test_new_vertex_on_spanning_subset_keeps_rigidity():
 
 
 def test_verify_dataset_counts():
-    ds = SurfaceDataset(name="toy", d=3,
-                        complexes=(tetra(), octahedron()),
+    complexes = (tetra(), octahedron(), csaszar_torus(),
+                 projective_plane_six(), *stacked_surfaces(fresh_rng(43)))
+    ds = SurfaceDataset(name="toy", d=3, complexes=complexes,
                         provenance="handmade")
     rep = verify_dataset(ds)
-    assert rep.size == 2
-    assert rep.rigid_count == 2
+    assert rep.size == len(complexes)
+    assert rep.rigid_count == len(complexes)
     assert rep.all_rigid
-    assert rep.member_count == 2
-    # The octahedron still contracts, the tetrahedron does not.
-    assert rep.irreducible_count == 1
-    assert rep.entries[0]["irreducible"]
-    assert not rep.entries[1]["irreducible"]
+    assert rep.member_count == len(complexes)
+    # The octahedron still contracts; the tetrahedron, the 7-vertex
+    # torus and the 6-vertex RP^2 do not.
+    flags = [e["irreducible"] for e in rep.entries]
+    assert flags[:4] == [True, False, True, True]
+    assert flags == [reference_admissible_edge(K) is None
+                     for K in complexes]
+    assert rep.irreducible_count == sum(flags)
     assert rep.entries[1]["rank"] == 7
 
 
