@@ -317,52 +317,45 @@ def build_parser() -> argparse.ArgumentParser:
                         help="machine-readable report")
     common.add_argument("--exact", action="store_true",
                         help="rational cross-check where size permits")
+    infile = argparse.ArgumentParser(add_help=False)
+    infile.add_argument("--in", dest="infile", required=True)
+    counts = argparse.ArgumentParser(add_help=False)
+    counts.add_argument("--a", type=int, default=None)
+    counts.add_argument("--b", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="volrig",
         description="Exact volume-rigidity toolkit for simplicial complexes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
+    def add(name, handler, *parents, **kw):
+        p = sub.add_parser(name, parents=[common, *parents], **kw)
         p.set_defaults(handler=handler)
         return p
 
-    p = add("rank", _cmd_rank, help="generic rank of the rigidity matrix")
-    p.add_argument("--in", dest="infile", required=True)
+    add("rank", _cmd_rank, infile,
+        help="generic rank of the rigidity matrix")
+    add("rigid", _cmd_rigid, infile, help="assert generic volume rigidity")
 
-    p = add("rigid", _cmd_rigid, help="assert generic volume rigidity")
-    p.add_argument("--in", dest="infile", required=True)
-
-    p = add("shift", _cmd_shift, help="members of the shifted family")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("shift", _cmd_shift, infile, help="members of the shifted family")
     p.add_argument("--order", choices=("p", "lex"), default="p")
     p.add_argument("--level", type=int, default=None,
                    help="face size (default: facet cardinality)")
 
-    p = add("sigma0", _cmd_sigma0,
-            help="membership of the characteristic face")
-    p.add_argument("--in", dest="infile", required=True)
+    add("sigma0", _cmd_sigma0, infile,
+        help="membership of the characteristic face")
 
     p = add("psi", _cmd_psi, help="rank and kernel of the wedge map")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = add("sparsity", _cmd_sparsity, help="assert the sparsity counts")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
+    add("sparsity", _cmd_sparsity, infile, counts,
+        help="assert the sparsity counts")
+    add("tight", _cmd_tight, infile, counts,
+        help="assert sparsity with equality at V")
 
-    p = add("tight", _cmd_tight, help="assert sparsity with equality at V")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-
-    p = add("complete-basis", _cmd_complete_basis,
+    p = add("complete-basis", _cmd_complete_basis, infile, counts,
             help="greedy completion to a sparsity basis")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = add("counterexample", _cmd_counterexample,
@@ -370,15 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", default=None)
 
-    p = add("contract", _cmd_contract,
+    p = add("contract", _cmd_contract, infile,
             help="contract one edge, or reduce to a fixed point")
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--edge", default=None, metavar="U,W")
     p.add_argument("--out", default=None)
 
-    p = add("homology", _cmd_homology,
+    p = add("homology", _cmd_homology, infile,
             help="top cycle space and minimal-cycle flag")
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mod2", action="store_true",
                    help="coefficients mod 2 instead of rationals")
 

@@ -70,13 +70,11 @@ class GenericityFailure(VolrigError):
 
 
 class InstanceTooLarge(VolrigError):
-    """An instance exceeds a size cap: the brute-force sparsity scan
-    (n > 22), which only (a, b) outside the pebble game's range
-    0 <= b < d a still use, a sparsity completion whose a n - b facets
-    exceed the dense-entry limit, or a dense matrix above that limit
-    (the rigidity matrix, the generic basis of shifting, the shifting
-    matrix of a level, the membership span matrix of the characteristic
-    face, the wedge map matrix and the boundary matrix)."""
+    """An instance exceeds a size cap: a sparsity completion whose
+    a n - b facets exceed the dense-entry limit, or a dense matrix above
+    that limit (the rigidity matrix, the generic basis of shifting, the
+    shifting matrix of a level, the membership span matrix of the
+    characteristic face, the wedge map matrix and the boundary matrix)."""
 
 
 class NotSparse(VolrigError):

@@ -186,7 +186,8 @@ def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
     preds = _predecessors(sigma, basis.n, order)
     if not preds:
         return True
-    cols = [compound_vector(basis, K, t) for t in preds]
+    face_rows = _face_rows(K, len(sigma), basis)
+    cols = [_compound(basis, face_rows, t) for t in preds]
     return not _span_matrix(cols, basis.field).in_column_span(vec)
 
 
@@ -381,7 +382,8 @@ def _membership(K: SimplicialComplex, trials: int, seed: int, field,
     member = all(votes)
     if any(votes) and not member:
         preds = _predecessors(face, K.n, "p")
-        ranks = [_span_matrix([compound_vector(b, K, s) for s in preds],
+        face_rows = _face_rows(K, K.d, drawn[0])
+        ranks = [_span_matrix([_compound(b, face_rows, s) for s in preds],
                               field).rank()
                  for b in drawn]
         # The best rank with the face exceeds the best without it exactly

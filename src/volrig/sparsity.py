@@ -19,22 +19,21 @@ while the facets on the rest are still not sparse.  It violates the
 bound and no proper subset of it does; it need not be a smallest
 violator, which no polynomial algorithm is known to find.
 
-Outside that range every vertex subset is scanned for a witness of
-smallest size, then first in lex order, and complexes with more than
-BRUTE_FORCE_CAP vertices are refused.
+Outside that range, b >= d a, a set of d vertices may span at most
+a d - b <= 0 facets, so no complex (none is empty) is sparse, and the
+smallest, lex-first witness has a closed form: when a d < b every d-set
+violates and the witness is (1, ..., d); when a d = b a d-set violates
+exactly when it is a facet, and the witness is the first facet.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
-from math import comb
 
 from .complexes import SimplicialComplex, build_complex, cone
 from .errors import BadParameters, InstanceTooLarge, NotSparse
 from .linalg import MAX_DENSE_ENTRIES
-
-BRUTE_FORCE_CAP = 22
 
 
 class SparsityParams(namedtuple("SparsityParams", "a b d")):
@@ -57,35 +56,6 @@ def spanned_count(K: SimplicialComplex, vertex_set) -> int:
     """Number of facets contained in the given vertex set."""
     a = set(vertex_set)
     return sum(1 for s in K.facets if a.issuperset(s))
-
-
-def _mask(vertices) -> int:
-    """Bitmask of a vertex set: vertex v sets bit v-1."""
-    return sum(1 << (v - 1) for v in vertices)
-
-
-def _violation(n: int, masks, params: SparsityParams, within: int = 0):
-    """First vertex set containing the mask `within` that spans more than
-    a|A| - b of the facet masks, smallest cardinality then lex, or None.
-
-    Sizes where no set can exceed the bound (it is at least the facet
-    count, or at least every d-subset) are skipped.
-    """
-    if n > BRUTE_FORCE_CAP:
-        raise InstanceTooLarge("n=%d exceeds brute-force cap %d"
-                               % (n, BRUTE_FORCE_CAP))
-    fixed = tuple(v for v in range(1, n + 1) if within >> (v - 1) & 1)
-    rest = [v for v in range(1, n + 1) if not within >> (v - 1) & 1]
-    total = len(masks)
-    for m in range(max(params.d, len(fixed)), n + 1):
-        bound = params.bound(m)
-        if bound >= total or comb(m, params.d) <= bound:
-            continue
-        for extra in combinations(rest, m - len(fixed)):
-            outside = ~(within | _mask(extra))
-            if sum(1 for fm in masks if not fm & outside) > bound:
-                return tuple(sorted(fixed + extra))
-    return None
 
 
 class _PebbleGame:
@@ -179,13 +149,15 @@ def _minimal_violator(game: _PebbleGame, pending) -> tuple:
 
 def is_sparse(K: SimplicialComplex, params: SparsityParams):
     """(verdict, witness): witness is a violating vertex set or None;
-    inclusion-minimal in the matroidal range, of minimum size outside."""
+    inclusion-minimal in the matroidal range, the smallest and lex-first
+    d-set outside it."""
     if params.d != K.d:
         raise BadParameters("params.d=%d but complex has d=%d"
                             % (params.d, K.d))
     if not _in_range(params):
-        w = _violation(K.n, [_mask(s) for s in K.facets], params)
-        return (w is None, w)
+        if params.b == params.d * params.a:
+            return (False, K.facets[0])
+        return (False, tuple(range(1, params.d + 1)))
     game = _PebbleGame(params.a, params.b)
     for i, f in enumerate(K.facets):
         if not game.offer(f):
@@ -198,38 +170,25 @@ def is_tight(K: SimplicialComplex, params: SparsityParams) -> bool:
     return ok and K.num_facets == params.bound(K.n)
 
 
-def _acceptor(n: int, params: SparsityParams, facets):
-    """Callable that takes a new facet when the held facets, starting
-    from the given sparse ones, stay sparse with it."""
-    if _in_range(params):
-        game = _PebbleGame(params.a, params.b)
-        for f in facets:
-            game.offer(f)
-        return game.offer
-    masks = [_mask(s) for s in facets]
-
-    def accept(cand) -> bool:
-        masks.append(_mask(cand))
-        if _violation(n, masks, params, within=masks[-1]) is None:
-            return True
-        masks.pop()
-        return False
-    return accept
-
-
 def _greedy_complete(n: int, params: SparsityParams, start_facets):
-    """Add lex-ordered candidates while sparsity survives, up to the
-    tight count a n - b, which is refused above MAX_DENSE_ENTRIES."""
+    """Add lex-ordered candidates while the pebble game accepts them, up
+    to the tight count a n - b, which is refused above MAX_DENSE_ENTRIES.
+    Outside the matroidal range no candidate is added: a lone d-set
+    already violates the bound."""
     have = set(start_facets)
     target = params.bound(n)
     if target > MAX_DENSE_ENTRIES:
         raise InstanceTooLarge("completion would hold %d facets, above the "
                                "%d-entry limit" % (target, MAX_DENSE_ENTRIES))
-    accept = _acceptor(n, params, have)
+    if not _in_range(params):
+        return sorted(have)
+    game = _PebbleGame(params.a, params.b)
+    for f in have:
+        game.offer(f)
     for cand in combinations(range(1, n + 1), params.d):
         if len(have) >= target:
             break
-        if cand not in have and accept(cand):
+        if cand not in have and game.offer(cand):
             have.add(cand)
     return sorted(have)
 

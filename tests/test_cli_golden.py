@@ -76,6 +76,10 @@ COMMANDS = [
     "sparsity --in stacked.txt",
     "tight --in stacked1.txt",
     "complete-basis --in stacked2.txt",
+    "sparsity --in octa.txt --a 1 --b 3",
+    "sparsity --in octa.txt --a 1 --b 5 --json",
+    "tight --in flex.txt --a 1 --b 4",
+    "complete-basis --in octa.txt --a 1 --b 3",
 ]
 
 

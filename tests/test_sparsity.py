@@ -9,6 +9,7 @@ from helpers import (bipartite33, fresh_rng, random_complex, stacked_sphere,
                      tetra)
 from volrig import build_complex, cone, is_volume_rigid
 from volrig.errors import BadParameters, InstanceTooLarge, NotSparse
+from volrig.linalg import MAX_DENSE_ENTRIES
 from volrig.sparsity import (SparsityParams, bipartite_complete_graph,
                              build_counterexample, complete_to_sparse_basis,
                              greedy_sparse_basis, is_sparse, is_tight,
@@ -188,18 +189,23 @@ def test_sparse_facet_sets_with_independent_columns():
         checked += 1
 
 
-def test_brute_force_cap():
-    # One vertex past the cap; outside the matroidal range every vertex
-    # set is scanned, and 2^23 of them would not finish within the test
-    # run, so each entry point refuses before scanning.
+def test_out_of_range_parameters_answer_in_closed_form():
+    # When b >= d a, a set of d vertices may span at most a d - b <= 0
+    # facets, so no complex is sparse and the witness needs no search,
+    # even past the 22 vertices a subset scan could cover: every d-set
+    # violates when a d < b, every facet when a d = b.
     K = build_complex(23, [(1, 2, 3), (21, 22, 23)])
-    params = SparsityParams(a=2, b=9, d=3)
-    for call in (lambda: is_sparse(K, params), lambda: is_tight(K, params),
-                 lambda: complete_to_sparse_basis(K, params),
-                 lambda: greedy_sparse_basis(23, params)):
-        with pytest.raises(InstanceTooLarge,
-                           match="^n=23 exceeds brute-force cap 22$"):
-            call()
+    for params, witness in ((SparsityParams(a=2, b=9, d=3), (1, 2, 3)),
+                            (SparsityParams(a=1, b=3, d=3), K.facets[0])):
+        assert is_sparse(K, params) == (False, witness)
+        assert not is_tight(K, params)
+        with pytest.raises(NotSparse):
+            complete_to_sparse_basis(K, params)
+        with pytest.raises(NotSparse):
+            greedy_sparse_basis(23, params)
+    wide = SparsityParams(a=1, b=3, d=3)
+    with pytest.raises(InstanceTooLarge):
+        greedy_sparse_basis(MAX_DENSE_ENTRIES + 4, wide)
 
 
 def test_in_range_parameters_answer_past_the_cap():
@@ -248,17 +254,17 @@ def minimal_violators(K, params):
 def test_scan_matches_definitional_reference():
     # In range means 0 <= b < d a, the matroidal range of sparsity, where
     # the pebble game decides and the witness is an inclusion-minimal
-    # violator; the last two parameter pairs lie outside it and keep the
-    # smallest-then-lex witness.
+    # violator; the last two parameter pairs lie outside it (a d = b and
+    # a d < b) and keep the smallest-then-lex witness.  The last inputs
+    # have d = 1, which has no volume regime (it would need a = 0).
     rng = fresh_rng(31)
-    for trial in range(15):
-        d = 2 + trial % 3
+    for d in [2, 3, 4] * 5 + [1] * 3:
         n = rng.randint(d + 1, 8)
         K = random_complex(rng, n, d, rng.randint(1, min(10, comb(n, d))))
-        for params in (SparsityParams.volume_regime(d),
-                       SparsityParams(a=1, b=0, d=d),
-                       SparsityParams(a=1, b=d, d=d),
-                       SparsityParams(a=2, b=3 * d, d=d)):
+        regime = (SparsityParams.volume_regime(d),) if d > 1 else ()
+        for params in regime + (SparsityParams(a=1, b=0, d=d),
+                                SparsityParams(a=1, b=d, d=d),
+                                SparsityParams(a=2, b=3 * d, d=d)):
             want = reference_violation(K, params)
             ok, witness = is_sparse(K, params)
             assert ok == (want is None)
@@ -285,9 +291,7 @@ def test_negative_bound_is_definitional():
     # a m - b can be negative for small m; any spanned facet then fails.
     K = tetra()
     harsh = SparsityParams(a=1, b=10, d=3)
-    ok, witness = is_sparse(K, harsh)
-    assert not ok
-    assert witness is not None and len(witness) >= 3
+    assert is_sparse(K, harsh) == (False, (1, 2, 3))
 
 
 def test_witness_is_inclusion_minimal_not_smallest():
