@@ -29,8 +29,9 @@ DEFAULT_PRIME = PRIME_TABLE[0]
 # f_{k-1} x C(n,k) shifting matrix of level k, the f x (n-d)(d-1)
 # membership span matrix of the characteristic face, the
 # C(n,d) x (d-1)n wedge matrix and the boundary matrix.  Sparsity
-# completion holds its a n - b facets to the same number.  On a 2-core VM
-# (Python 3.11) sampling and checking an n = 500 basis (250k entries) took
+# completion holds its a n - b facets to the same number, and compound
+# minors of size k >= 4 their f_{k-1} 2^k memoised subminors.  On a 2-core
+# VM (Python 3.11) sampling and checking an n = 500 basis (250k entries) took
 # 15 s and 67 MB, growing as n^3; a 250k-entry wedge matrix builds and
 # eliminates in under a second, and the largest accepted partial-order
 # shift, a 227k-entry shifting matrix (n = 30, one basis), runs in
@@ -63,7 +64,13 @@ class PrimeField:
     one = 1
 
     def of(self, x):
-        return int(x) % self.q
+        """An int mod q, or a Fraction a/b as a times b's inverse; other
+        values are refused rather than truncated."""
+        if isinstance(x, int):
+            return x % self.q
+        if isinstance(x, Fraction):
+            return x.numerator * self.inv(x.denominator % self.q) % self.q
+        raise BadParameters("%r is not an integer or a fraction" % (x,))
 
     def add(self, a, b):
         return (a + b) % self.q
@@ -145,13 +152,61 @@ def default_field() -> PrimeField:
     return PrimeField(DEFAULT_PRIME)
 
 
+def echelon_insert(rows: list, vec, field):
+    """Reduce vec against semi-echelon rows: the one elimination routine,
+    behind ExactMatrix's rank, span, determinant and kernel and the spans
+    of shifting.
+
+    A row is (pivot, [(column, entry)] of its nonzeros): its pivot entry
+    is one and every earlier row's pivot column is zero in it.  So
+    clearing each row's pivot in turn leaves the earlier pivots cleared,
+    and what remains of vec, scaled by the inverse of its leading entry,
+    is such a row for the rows given.  Returns that row and the leading
+    entry before scaling, or (None, zero) when vec is in the rows' span.
+    Rows are never changed, so spans may share them.  Over GF(q) entries
+    of vec are reduced only where read, and once at the end.
+    """
+    q = field.q
+    v = list(vec)
+    for p, terms in rows:
+        c = v[p]
+        if c and q:
+            c %= q
+        if c:
+            for j, x in terms:
+                v[j] -= c * x
+    new = ([(j, x % q) for j, x in enumerate(v) if x and x % q] if q
+           else [(j, x) for j, x in enumerate(v) if x])
+    if not new:
+        return None, field.zero
+    p, lead = new[0]
+    if lead != 1:
+        s = field.inv(lead)
+        new = ([(j, x * s % q) for j, x in new] if q
+               else [(j, x * s) for j, x in new])
+    return (p, new), lead
+
+
+def _semi_echelon(vectors, dim: int, field) -> list:
+    """Semi-echelon rows spanning length-dim vectors, read until full."""
+    rows = []
+    for vec in vectors:
+        if len(rows) == dim:
+            break
+        row, _ = echelon_insert(rows, vec, field)
+        if row:
+            rows.append(row)
+    return rows
+
+
 class ExactMatrix:
     """Dense matrix over a PrimeField or RationalField.
 
-    Rank, column span, determinant and kernel all come from one routine,
-    _echelon: Gaussian elimination on a copy, in plain Python arithmetic
-    (reduced mod q over a prime field, bare Fraction operators over QQ).
-    Determinants and minors of size 2 and 3 use their closed forms instead.
+    Rank, column span, determinant and kernel all insert rows (columns,
+    for a span) into semi-echelon form with echelon_insert, in plain
+    Python arithmetic (reduced mod q over a prime field, bare Fraction
+    operators over QQ).  Determinants and minors of size 2 and 3 use
+    their closed forms instead.
     """
 
     __slots__ = ("nrows", "ncols", "data", "field")
@@ -221,90 +276,36 @@ class ExactMatrix:
         data = [[self._dot(row, colv) for colv in cols] for row in self.data]
         return ExactMatrix(data, self.field, _trusted=True)
 
-    def _echelon(self, reduced=False):
-        """Gaussian elimination on a working copy; the one elimination
-        routine behind rank, span, determinant and kernel.
-
-        Returns (rows, pivots, det): rows[r] leads with a one in column
-        pivots[r], zero rows are dropped, and det is the product of the
-        pivots found, negated once per row swap (for a square matrix of
-        full rank, its determinant).  Only rows below each pivot are
-        cleared, unless reduced=True asks for the reduced echelon form.
-        """
-        q = self.field.q
-        inv = self.field.inv
-        rows = [row[:] for row in self.data]
-        nrows, ncols = self.nrows, self.ncols
-        pivots = []
-        det = self.field.one
-        for c in range(ncols):
-            r = len(pivots)
-            if r == nrows:
-                break
-            p = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if p is None:
-                continue
-            if p != r:
-                rows[r], rows[p] = rows[p], rows[r]
-                det = -det
-            piv = rows[r]
-            lead = piv[c]
-            det = self._reduce(det * lead)
-            if lead != 1:
-                scale = inv(lead)
-                for j in range(c, ncols):
-                    if piv[j]:
-                        piv[j] = self._reduce(piv[j] * scale)
-            # Rows that are already in echelon form (spans extended by one
-            # vector) have unit pivots and often nothing left to clear.
-            terms = None
-            for i in range(0 if reduced else r + 1, nrows):
-                row = rows[i]
-                fac = row[c]
-                if not fac or i == r:
-                    continue
-                if terms is None:
-                    terms = [(j, piv[j]) for j in range(c, ncols) if piv[j]]
-                if q:
-                    for j, x in terms:
-                        row[j] = (row[j] - fac * x) % q
-                else:
-                    for j, x in terms:
-                        row[j] -= fac * x
-            pivots.append(c)
-        return rows[:len(pivots)], pivots, det
-
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(_semi_echelon(self.data, self.ncols, self.field))
 
     def in_column_span(self, vec) -> bool:
         """Whether vec is a linear combination of this matrix's columns."""
         if len(vec) != self.nrows:
             raise DimensionMismatch("vector length %d, matrix has %d rows"
                                     % (len(vec), self.nrows))
-        of = self.field.of
-        aug = ExactMatrix([row + [of(x)] for row, x in zip(self.data, vec)],
-                          self.field, _trusted=True)
-        pivots = aug._echelon()[1]
-        return not pivots or pivots[-1] != self.ncols
+        f = self.field
+        rows = _semi_echelon(zip(*self.data), self.nrows, f)
+        return echelon_insert(rows, [f.of(x) for x in vec], f)[0] is None
 
     def right_kernel(self) -> "ExactMatrix":
-        """Basis of the null space, one basis vector per column."""
-        f = self.field
-        rows, pivots, _ = self._echelon(reduced=True)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis_cols = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                if rows[r][fc] != 0:
-                    v[pc] = self._reduce(-rows[r][fc])
-            basis_cols.append(v)
-        if not basis_cols:
-            return ExactMatrix([[] for _ in range(self.ncols)], f, _trusted=True)
-        data = [[bc[i] for bc in basis_cols] for i in range(self.ncols)]
+        """Basis of the null space, one basis vector per column: for each
+        free column of the reduced echelon form, the vector with a one
+        there and zeros at the other free columns."""
+        f, n = self.field, self.ncols
+        # Reducing each row against the later ones, last row first, turns
+        # the semi-echelon rows into the (unique) reduced echelon form.
+        rref = []
+        for p, terms in reversed(_semi_echelon(self.data, n, f)):
+            v = [f.zero] * n
+            for j, x in terms:
+                v[j] = x
+            rref.append(echelon_insert(rref, v, f)[0])
+        piv = {p: dict(terms) for p, terms in rref}
+        free = [c for c in range(n) if c not in piv]
+        data = [[f.neg(piv[i].get(fc, f.zero)) if i in piv
+                 else f.one if i == fc else f.zero for fc in free]
+                for i in range(n)]
         return ExactMatrix(data, f, _trusted=True)
 
     def left_kernel_basis(self) -> "ExactMatrix":
@@ -314,7 +315,8 @@ class ExactMatrix:
     def det(self, rows=None, cols=None):
         """Determinant, or the minor at the given 0-based row and column
         index tuples.  Sizes 2 and 3 are closed forms read straight from
-        the entries; other sizes eliminate the gathered submatrix."""
+        the entries; other sizes multiply the leads of the gathered rows
+        in semi-echelon form."""
         rows = range(self.nrows) if rows is None else rows
         cols = range(self.ncols) if cols is None else cols
         if len(rows) != len(cols):
@@ -330,8 +332,19 @@ class ExactMatrix:
                 a[i] * (b[j] * c[k] - b[k] * c[j])
                 - a[j] * (b[i] * c[k] - b[k] * c[i])
                 + a[k] * (b[i] * c[j] - b[j] * c[i]))
-        _, pivots, det = self.submatrix(rows, cols)._echelon()
-        return det if len(pivots) == len(rows) else self.field.zero
+        # The leads of the semi-echelon rows sit on the diagonal once the
+        # columns are put in pivot order; each inversion flips the sign.
+        f = self.field
+        ech, det = [], f.one
+        for r in rows:
+            row, lead = echelon_insert(ech, [d[r][c] for c in cols], f)
+            if row is None:
+                return f.zero
+            if sum(p > row[0] for p, _ in ech) % 2:
+                lead = -lead
+            ech.append(row)
+            det = self._reduce(det * lead)
+        return det
 
     def cofactor(self, i: int, j: int):
         """Signed minor (-1)^(i+j) det(M without row i, column j); 0-based."""

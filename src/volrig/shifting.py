@@ -20,7 +20,7 @@ from .complexes import SimplicialComplex, as_face, k_faces
 from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
                      SingularBasis, SizeExceedsDimension, VertexOutOfRange)
 from .linalg import (ExactMatrix, check_dense_size, default_field,
-                     sample_generic_matrix)
+                     echelon_insert, sample_generic_matrix)
 from .rigidity import Placement
 
 # Failed nonsingularity draws retry with seed + (attempt << 32), keeping
@@ -144,11 +144,18 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
 
 def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
     """0-based index tuples of K's size-k faces in lex order: the row
-    indices of every size-k compound vector against K."""
+    indices of every size-k compound vector against K.
+
+    Refuses k >= 4 with f_{k-1} 2^k above the dense-entry limit: about
+    that many subminors (1.5 f_{k-1} 2^k on counterexamples) are what
+    GenericBasis.minor memoises, and its time grows with them."""
     if K.n != basis.n:
         raise DimensionMismatch("complex has n=%d, basis has n=%d"
                                 % (K.n, basis.n))
-    return [tuple(t - 1 for t in tau) for tau in k_faces(K, k - 1)]
+    faces = k_faces(K, k - 1)
+    if k >= 4:
+        check_dense_size(len(faces), 1 << k, "size-%d compound subminors" % k)
+    return [tuple(t - 1 for t in tau) for tau in faces]
 
 
 def _compound(basis: GenericBasis, face_rows: list, sigma) -> list:
@@ -191,32 +198,6 @@ def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
     return not _span_matrix(cols, basis.field).in_column_span(vec)
 
 
-def _escape(rows: list, vec: list, q: int):
-    """The row that vec adds to the span of semi-echelon rows over GF(q),
-    or None when vec lies in their span.  (Generic bases are always
-    sampled over a prime field.)
-
-    A row is (pivot, [(column, entry)] of its nonzeros): its pivot entry
-    is one and every earlier row's pivot column is zero in it.  So
-    clearing each row's pivot in turn leaves the earlier pivots cleared,
-    and what remains of vec, scaled, is such a row for the rows given.
-    Rows are never changed, so spans that share rows may share them.
-    Entries of vec are reduced mod q only where read, and once at the end.
-    """
-    v = list(vec)
-    for p, terms in rows:
-        c = v[p] % q
-        if c:
-            for j, x in terms:
-                v[j] -= c * x
-    v = [x % q for x in v]
-    p = next((j for j, x in enumerate(v) if x), None)
-    if p is None:
-        return None
-    s = pow(v[p], -1, q)
-    return p, [(j, x * s % q) for j, x in enumerate(v) if x]
-
-
 def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
                           face_order) -> list:
     """Members at size k under an explicit total order on size-k sets.
@@ -224,9 +205,9 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
     face_order must list every size-k subset of the label range exactly
     once.  A greedy streaming test suffices for total orders: the span
     of all earlier vectors equals the span of the earlier members, kept
-    here as the semi-echelon rows of the members found so far.  Once
-    they span all of K's size-k faces no later vector can escape, and
-    the walk stops.
+    here as the semi-echelon rows (linalg.echelon_insert) of the members
+    found so far.  Once they span all of K's size-k faces no later
+    vector can escape, and the walk stops.
     """
     _check_level(K, k)
     expected = set(combinations(range(1, basis.n + 1), k))
@@ -234,12 +215,12 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
     if len(order_list) != len(expected) or set(order_list) != expected:
         raise BadParameters("face_order must enumerate all size-%d subsets" % k)
     face_rows = _face_rows(K, k, basis)
-    q = basis.field.q
     members, rows = [], []
     for sigma in order_list:
         if len(rows) == len(face_rows):
             break
-        row = _escape(rows, _compound(basis, face_rows, sigma), q)
+        row, _ = echelon_insert(rows, _compound(basis, face_rows, sigma),
+                                basis.field)
         if row:
             members.append(sigma)
             rows.append(row)
@@ -269,7 +250,8 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     vectors of the members only the other covers hold; the set is a
     member when its vector escapes that span.  This is the definitional
     test of in_shifted_family, reducing a few vectors against shared rows
-    per set instead of eliminating a span matrix of all predecessors.  A
+    per set (linalg.echelon_insert, which never changes the rows it is
+    given) instead of inserting every predecessor's vector anew.  A
     span of full dimension (one row per size-k face of K) admits no
     member above it, so such a set skips the merge and its own vector;
     its member set may then be incomplete, which no set above it can
@@ -284,7 +266,7 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     if order != "p":
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
     face_rows = _face_rows(K, k, basis)
-    q = basis.field.q
+    field = basis.field
     vecs = {}
     first, prev, cur = 1, {}, {}
     for sigma in combinations(range(1, basis.n + 1), k):
@@ -300,12 +282,12 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
             if extra:
                 rows = list(rows)
                 for m in extra:
-                    row = _escape(rows, vecs[m], q)
+                    row, _ = echelon_insert(rows, vecs[m], field)
                     if row:
                         rows.append(row)
                 members = members.union(extra)
             vec = _compound(basis, face_rows, sigma)
-            row = _escape(rows, vec, q)
+            row, _ = echelon_insert(rows, vec, field)
             if row:
                 rows, members = rows + [row], members | {sigma}
                 vecs[sigma] = vec

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from itertools import combinations
 
 import pytest
 
@@ -260,6 +262,21 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
                  ["verify-dataset", "--dir", os.path.join(tmp_path, "ds")],
                  ["homology", "--in", disjoint]):
         code, text = run_command(argv)
+        assert code == 2
+        assert text.startswith("error: ") and "entry limit" in text
+
+
+def test_cli_refuses_exponential_minor_expansion(tmp_path):
+    # The boundary of the 19-simplex has only 20 facets, but its size-19
+    # compound minors would memoise about 20 x 2^19 subminors; before the
+    # refusal neither command answered within 30 s.
+    path = os.path.join(tmp_path, "simplex19.txt")
+    write_complex(build_complex(20, list(combinations(range(1, 21), 19))),
+                  path)
+    for argv in (["sigma0", "--in", path], ["shift", "--in", path]):
+        start = time.monotonic()
+        code, text = run_command(argv)
+        assert time.monotonic() - start < 5
         assert code == 2
         assert text.startswith("error: ") and "entry limit" in text
 

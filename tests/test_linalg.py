@@ -75,6 +75,24 @@ def test_prime_field_ops():
     assert f.neg(0) == 0
     with pytest.raises(NotInvertible):
         f.inv(0)
+    # Elimination scales through inv, so a modulus that is no prime fails
+    # with the package's own error.
+    with pytest.raises(NotInvertible):
+        ExactMatrix([[2, 1]], PrimeField(4)).rank()
+
+
+def test_prime_field_of_is_exact():
+    f = PrimeField(7)
+    assert f.of(-3) == 4 and f.of(True) == 1
+    assert f.of(Fraction(1, 2)) == 4
+    assert f.of(Fraction(-5, 3)) == f.mul(f.of(-5), f.inv(3))
+    assert f.of(Fraction(14, 1)) == 0
+    assert ExactMatrix([[Fraction(1, 2)]], f).rank() == 1
+    for bad in (2.9, 2.0, "3", None):
+        with pytest.raises(BadParameters):
+            f.of(bad)
+    with pytest.raises(NotInvertible):
+        f.of(Fraction(1, 7))
 
 
 def test_rational_field_ops():
@@ -156,6 +174,32 @@ def test_right_kernel_annihilates(seed, r, c, q):
     assert m.rank() + ker.ncols == c
     for j in range(ker.ncols):
         assert all(x == 0 for x in m.mul_vec(ker.col(j)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), GF],
+                         ids=["QQ", "GF7", "default"])
+def test_right_kernel_is_reduced_echelon_basis(field):
+    # Column k of the kernel is the basis vector of the k-th free column
+    # (a column that is no pivot of the reduced echelon form): a one at
+    # its own free column and zeros at the other free columns.
+    rng = random.Random(41)
+    for _ in range(30):
+        r, c = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[rng.randrange(-3, 4) for _ in range(c)] for _ in range(r)]
+        m = ExactMatrix(rows, field)
+        ker = m.right_kernel()
+        assert ker.nrows == c and ker.ncols == c - m.rank()
+        # A column is free when it depends on the columns before it.
+        free = [j for j in range(c)
+                if m.submatrix(range(r), range(j + 1)).rank()
+                == m.submatrix(range(r), range(j)).rank()]
+        assert len(free) == ker.ncols
+        for k, fc in enumerate(free):
+            assert [ker.data[j][k] for j in free] == [
+                field.one if j == fc else field.zero for j in free]
+            assert all(x == 0 for x in m.mul_vec(ker.col(k)))
+            assert all(ker.data[j][k] == 0 for j in range(fc + 1, c)
+                       if j not in free)
 
 
 def test_left_kernel_rows_annihilate():
