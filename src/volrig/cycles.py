@@ -131,8 +131,8 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
                 j = tau.index(v) + 1
                 coords = ExactMatrix([p.vector(u) for u in rho], field,
                                      _trusted=True)
-                minor = coords.det(range(d - 2),
-                                   [r for r in range(d - 1) if r != i - 1])
+                minor = coords.minor(tuple(range(d - 2)), tuple(
+                    r for r in range(d - 1) if r != i - 1), {})
                 term = field.mul(minor, coeff)
                 if j % 2:
                     term = field.neg(term)

@@ -75,8 +75,8 @@ class InstanceTooLarge(VolrigError):
     that limit (the rigidity matrix, the generic basis of shifting, the
     shifting matrix of a level, the membership span matrix of the
     characteristic face, the wedge map matrix and the boundary matrix),
-    or f_{k-1} x 2^k memoised subminors of size-k compound minors, k >= 4
-    (about 10 s at 2^13, more than 30 s on the 19-simplex boundary)."""
+    or the f_{k-1} memoised k x n reductions behind size-k compound
+    coordinates, k >= 4."""
 
 
 class NotSparse(VolrigError):

@@ -30,12 +30,14 @@ DEFAULT_PRIME = PRIME_TABLE[0]
 # membership span matrix of the characteristic face, the
 # C(n,d) x (d-1)n wedge matrix and the boundary matrix.  Sparsity
 # completion holds its a n - b facets to the same number, and compound
-# minors of size k >= 4 their f_{k-1} 2^k memoised subminors.  On a 2-core
-# VM (Python 3.11) sampling and checking an n = 500 basis (250k entries) took
-# 15 s and 67 MB, growing as n^3; a 250k-entry wedge matrix builds and
-# eliminates in under a second, and the largest accepted partial-order
-# shift, a 227k-entry shifting matrix (n = 30, one basis), runs in
-# 0.7-1.3 s as a whole `shift --trials 1` job.
+# coordinates of size k >= 4 their f_{k-1} memoised k x n reductions of
+# basis rows.  On a 2-core VM (Python 3.11) sampling and checking an
+# n = 500 basis (250k entries) took 15 s and 67 MB, growing as n^3; a
+# 250k-entry wedge matrix builds and eliminates in under a second; the
+# largest accepted partial-order shift, a 227k-entry shifting matrix
+# (n = 30, one basis), runs in 0.7-1.3 s as a whole `shift --trials 1`
+# job; and the largest accepted reductions, 63 of 62 x 63 per basis for
+# the boundary of the 62-simplex, take 4-5 s as a whole `sigma0` job.
 # The benchmark's largest are a 180 x 176 rigidity matrix, a 576-entry
 # basis, a 16 x 120 shifting matrix, a 44 x 42 membership span matrix,
 # a 3402-entry wedge matrix and a 280 x 140 boundary matrix.
@@ -199,14 +201,75 @@ def _semi_echelon(vectors, dim: int, field) -> list:
     return rows
 
 
+def _det_at(data, rows, cols, field):
+    """det of the rows of data at the given row and column indices.
+    Sizes 1 to 3 are closed forms read straight from the entries, size 4
+    expands along its first row into them, and other sizes multiply the
+    leads of the gathered rows (_signed_leads)."""
+    size = len(rows)
+    if size > 4 or not size:
+        return _signed_leads(([data[r][c] for c in cols] for r in rows),
+                             field)[1]
+    if size == 4:
+        a, rest, cols = data[rows[0]], rows[1:], tuple(cols)
+        x = sum(a[c] * _det_at(data, rest, cols[:j] + cols[j + 1:], field)
+                * (-1) ** j for j, c in enumerate(cols))
+    elif size == 1:
+        x = data[rows[0]][cols[0]]
+    elif size == 2:
+        (a, b), (i, j) = [data[r] for r in rows], cols
+        x = a[i] * b[j] - a[j] * b[i]
+    else:
+        (a, b, c), (i, j, k) = [data[r] for r in rows], cols
+        x = (a[i] * (b[j] * c[k] - b[k] * c[j])
+             - a[j] * (b[i] * c[k] - b[k] * c[i])
+             + a[k] * (b[i] * c[j] - b[j] * c[i]))
+    q = field.q
+    return x % q if q else x
+
+
+def _signed_leads(vectors, field):
+    """Semi-echelon rows of k vectors of one length and the product of
+    their leads, signed by the order of their pivots, or (None, zero)
+    when they are dependent.  When the vectors are the rows of a k x k
+    matrix that product is its determinant: in pivot order the leads sit
+    on the diagonal, and each inversion flips the sign."""
+    q = field.q
+    ech, det = [], field.one
+    for vec in vectors:
+        row, lead = echelon_insert(ech, vec, field)
+        if row is None:
+            return None, field.zero
+        if sum(p > row[0] for p, _ in ech) % 2:
+            lead = -lead
+        ech.append(row)
+        det = det * lead % q if q else det * lead
+    return ech, det
+
+
+def _reduced(ech: list, n: int, field) -> list:
+    """The (unique) reduced echelon form of semi-echelon rows of length
+    n, in reverse row order.  Reducing each row against the later ones,
+    last row first, clears every other pivot and keeps each lead at
+    one."""
+    rref = []
+    for p, terms in reversed(ech):
+        v = [field.zero] * n
+        for j, x in terms:
+            v[j] = x
+        rref.append(echelon_insert(rref, v, field)[0])
+    return rref
+
+
 class ExactMatrix:
     """Dense matrix over a PrimeField or RationalField.
 
     Rank, column span, determinant and kernel all insert rows (columns,
     for a span) into semi-echelon form with echelon_insert, in plain
     Python arithmetic (reduced mod q over a prime field, bare Fraction
-    operators over QQ).  Determinants and minors of size 2 and 3 use
-    their closed forms instead.
+    operators over QQ).  Determinants and minors up to 4 x 4 use closed
+    forms instead (_det_at), and minor reads minors above 3 x 3 off one
+    memoised reduction of their rows.
     """
 
     __slots__ = ("nrows", "ncols", "data", "field")
@@ -293,15 +356,8 @@ class ExactMatrix:
         free column of the reduced echelon form, the vector with a one
         there and zeros at the other free columns."""
         f, n = self.field, self.ncols
-        # Reducing each row against the later ones, last row first, turns
-        # the semi-echelon rows into the (unique) reduced echelon form.
-        rref = []
-        for p, terms in reversed(_semi_echelon(self.data, n, f)):
-            v = [f.zero] * n
-            for j, x in terms:
-                v[j] = x
-            rref.append(echelon_insert(rref, v, f)[0])
-        piv = {p: dict(terms) for p, terms in rref}
+        piv = {p: dict(terms) for p, terms
+               in _reduced(_semi_echelon(self.data, n, f), n, f)}
         free = [c for c in range(n) if c not in piv]
         data = [[f.neg(piv[i].get(fc, f.zero)) if i in piv
                  else f.one if i == fc else f.zero for fc in free]
@@ -314,37 +370,56 @@ class ExactMatrix:
 
     def det(self, rows=None, cols=None):
         """Determinant, or the minor at the given 0-based row and column
-        index tuples.  Sizes 2 and 3 are closed forms read straight from
-        the entries; other sizes multiply the leads of the gathered rows
-        in semi-echelon form."""
+        index tuples (see _det_at)."""
         rows = range(self.nrows) if rows is None else rows
         cols = range(self.ncols) if cols is None else cols
         if len(rows) != len(cols):
             raise DimensionMismatch("determinant of a %dx%d matrix"
                                     % (len(rows), len(cols)))
-        d = self.data
-        if len(rows) == 2:
-            (a, b), (i, j) = [d[r] for r in rows], cols
-            return self._reduce(a[i] * b[j] - a[j] * b[i])
-        if len(rows) == 3:
-            (a, b, c), (i, j, k) = [d[r] for r in rows], cols
-            return self._reduce(
-                a[i] * (b[j] * c[k] - b[k] * c[j])
-                - a[j] * (b[i] * c[k] - b[k] * c[i])
-                + a[k] * (b[i] * c[j] - b[j] * c[i]))
-        # The leads of the semi-echelon rows sit on the diagonal once the
-        # columns are put in pivot order; each inversion flips the sign.
-        f = self.field
-        ech, det = [], f.one
-        for r in rows:
-            row, lead = echelon_insert(ech, [d[r][c] for c in cols], f)
-            if row is None:
-                return f.zero
-            if sum(p > row[0] for p, _ in ech) % 2:
-                lead = -lead
-            ech.append(row)
-            det = self._reduce(det * lead)
-        return det
+        return _det_at(self.data, rows, cols, self.field)
+
+    def minor(self, rows: tuple, cols, memo: dict):
+        """det at a 0-based row index tuple and ascending column indices:
+        the one routine behind compound coordinates, wedge entries and
+        rigidity cofactors.
+
+        Up to 3 x 3 this is det.  Above, M[rows, :] = L R is reduced
+        once, memoised in memo under rows (len(rows) x ncols entries),
+        with R in reduced echelon form, its rows sorted by pivot, and
+        lead = det L.  The minor is lead det R[:, cols].  R's pivot
+        columns are unit vectors, so this is lead times
+        (-1)^(sum of out + sum of miss) det R[miss, out], for the rows
+        miss whose pivots cols leave out and the positions out in cols
+        of the columns that replace them: one entry of R when cols miss
+        one pivot, a small determinant when they miss more.
+        """
+        k = len(rows)
+        if k <= 3:
+            return self.det(rows, cols)
+        if len(cols) != k:
+            raise DimensionMismatch("determinant of a %dx%d matrix"
+                                    % (k, len(cols)))
+        f, n = self.field, self.ncols
+        red = memo.get(rows)
+        if red is None:
+            ech, lead = _signed_leads((self.data[r] for r in rows), f)
+            where, rref = [None] * n, []
+            for i, (p, terms) in enumerate(sorted(_reduced(ech, n, f))
+                                           if ech else ()):
+                where[p] = i
+                rref.append([f.zero] * n)
+                for j, x in terms:
+                    rref[i][j] = x
+            red = memo[rows] = (lead, where, rref)
+        lead, where, rref = red
+        hit = [where[c] for c in cols]
+        if lead and None in hit:
+            out = [t for t, i in enumerate(hit) if i is None]
+            miss = sorted(set(range(k)).difference(hit))
+            lead = f.mul(lead, _det_at(rref, miss, [cols[t] for t in out], f))
+            if (sum(out) + sum(miss)) % 2:
+                lead = f.neg(lead)
+        return lead
 
     def cofactor(self, i: int, j: int):
         """Signed minor (-1)^(i+j) det(M without row i, column j); 0-based."""

@@ -78,19 +78,23 @@ def _volume_gradient_columns(p: Placement, n: int, faces) -> ExactMatrix:
     (v-1)(d-1) + (i-1) differentiates with respect to the i-th
     coordinate of vertex v.  The column for a face sigma holds the
     signed cofactors of its lifted simplex matrix: the derivative with
-    respect to p(v_j)_i is the cofactor deleting row i and column j.
+    respect to p(v_j)_i is the cofactor deleting row i and column j,
+    read off one reduction of the matrix without row i (ExactMatrix.minor).
     """
     f = p.field
     d = p.d
+    drop = [tuple(r for r in range(d) if r != i) for i in range(d)]
     m = ExactMatrix.zeros((d - 1) * n, len(faces), f)
     for col, sigma in enumerate(faces):
         if sigma[-1] > n:
             raise VertexOutOfRange("face %r exceeds n=%d" % (sigma, n))
         lifted = simplex_matrix(p, sigma)
+        memo = {}
         for j, v in enumerate(sigma):
             base = (v - 1) * (d - 1)
             for i in range(d - 1):
-                m.data[base + i][col] = lifted.cofactor(i, j)
+                c = lifted.minor(drop[i], drop[j], memo)
+                m.data[base + i][col] = f.neg(c) if (i + j) % 2 else c
     return m
 
 

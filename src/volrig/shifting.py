@@ -50,29 +50,10 @@ class GenericBasis:
 
     def minor(self, rows, cols):
         """det of the basis matrix restricted to the given 0-based row and
-        column index tuples.
-
-        Up to 3 x 3 this is ExactMatrix.det at those indices.  Larger
-        minors expand along their last column into (k-1)-minors, which are
-        memoised on this basis: the compound coordinates of sets sharing
-        all but their last label share those subminors.
-        """
-        if len(cols) <= 3:
-            return self.matrix.det(rows, cols)
-        a = self.matrix.data
-        last, head = cols[-1], cols[:-1]
-        memo = self._minors
-        total = 0
-        for i, r in enumerate(rows):
-            x = a[r][last]
-            if not x:
-                continue
-            sub = rows[:i] + rows[i + 1:]
-            m = memo.get((sub, head))
-            if m is None:
-                m = memo[sub, head] = self.minor(sub, head)
-            total += -x * m if (len(rows) - 1 - i) % 2 else x * m
-        return self.field.of(total)
+        column index tuples: ExactMatrix.minor with a memo on this basis,
+        so the compound coordinates of all sets against one face share
+        one reduction of that face's rows."""
+        return self.matrix.minor(rows, cols, self._minors)
 
 
 def generic_basis(n: int, seed: int = 0, field=None) -> GenericBasis:
@@ -146,15 +127,15 @@ def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
     """0-based index tuples of K's size-k faces in lex order: the row
     indices of every size-k compound vector against K.
 
-    Refuses k >= 4 with f_{k-1} 2^k above the dense-entry limit: about
-    that many subminors (1.5 f_{k-1} 2^k on counterexamples) are what
-    GenericBasis.minor memoises, and its time grows with them."""
+    Refuses k >= 4 with f_{k-1} k n above the dense-entry limit: that is
+    what GenericBasis.minor memoises, a reduced k x n matrix per face."""
     if K.n != basis.n:
         raise DimensionMismatch("complex has n=%d, basis has n=%d"
                                 % (K.n, basis.n))
     faces = k_faces(K, k - 1)
     if k >= 4:
-        check_dense_size(len(faces), 1 << k, "size-%d compound subminors" % k)
+        check_dense_size(len(faces) * k, basis.n,
+                         "size-%d compound reductions" % k)
     return [tuple(t - 1 for t in tau) for tau in faces]
 
 
@@ -316,11 +297,18 @@ def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",
 
 def _check_level(K: SimplicialComplex, k: int) -> None:
     """Refuse a level outside 1..d, or one whose shifting matrix (a row
-    per (k-1)-face of K, a column per size-k label set) is too large."""
+    per (k-1)-face of K, a column per size-k label set) is too large.
+    Its C(n,k) columns are checked first, against one row, and faces
+    are counted only until they pass the limit, so a refusal costs no
+    more than one facet's faces beyond it."""
     if k < 1 or k > K.d:
         raise BadParameters("level k=%d outside 1..%d" % (k, K.d))
-    rows = len({t for s in K.facets for t in combinations(s, k)})
-    check_dense_size(rows, comb(K.n, k), "shifting matrix")
+    cols, what = comb(K.n, k), "shifting matrix (rows counted so far)"
+    check_dense_size(1, cols, what)
+    rows = set()
+    for s in K.facets:
+        rows.update(combinations(s, k))
+        check_dense_size(len(rows), cols, what)
 
 
 MembershipReport = namedtuple(

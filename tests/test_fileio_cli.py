@@ -266,19 +266,55 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
         assert text.startswith("error: ") and "entry limit" in text
 
 
-def test_cli_refuses_exponential_minor_expansion(tmp_path):
-    # The boundary of the 19-simplex has only 20 facets, but its size-19
-    # compound minors would memoise about 20 x 2^19 subminors; before the
-    # refusal neither command answered within 30 s.
-    path = os.path.join(tmp_path, "simplex19.txt")
-    write_complex(build_complex(20, list(combinations(range(1, 21), 19))),
-                  path)
+def simplex_boundary(tmp_path, n):
+    """File of the boundary of the (n-1)-simplex: n facets of size n - 1."""
+    path = os.path.join(tmp_path, "simplex%d.txt" % (n - 1))
+    write_complex(build_complex(n, list(combinations(range(1, n + 1),
+                                                     n - 1))), path)
+    return path
+
+
+def timed_command(argv):
+    start = time.monotonic()
+    code, text = run_command(argv)
+    return code, text, time.monotonic() - start
+
+
+def test_cli_bounds_compound_minor_reductions(tmp_path):
+    # Size-k compound coordinates reduce a k x n block of the basis once
+    # per (k-1)-face.  The boundary of the 19-simplex (20 facets of 19
+    # vertices) needs 20 such 19 x 20 blocks and answers; the boundary of
+    # the 63-simplex would need 64 blocks of 63 x 64, past the limit.
+    path = simplex_boundary(tmp_path, 20)
+    code, text, took = timed_command(["sigma0", "--in", path])
+    assert took < 5
+    assert code == 0 and "MEMBER yes" in text
+    code, text, took = timed_command(["shift", "--in", path])
+    assert took < 5
+    assert code == 0
+    # Shifting keeps the f-vector: all 20 size-19 sets are members.
+    lines = text.splitlines()
+    assert lines[0].startswith("level 19 order p count 20 ")
+    assert sorted(tuple(map(int, line.split())) for line in lines[1:]) == \
+        sorted(combinations(range(1, 21), 19))
+    path = simplex_boundary(tmp_path, 64)
     for argv in (["sigma0", "--in", path], ["shift", "--in", path]):
-        start = time.monotonic()
-        code, text = run_command(argv)
-        assert time.monotonic() - start < 5
+        code, text, took = timed_command(argv)
+        assert took < 5
         assert code == 2
         assert text.startswith("error: ") and "entry limit" in text
+
+
+def test_cli_refuses_shifting_level_before_counting_faces(tmp_path):
+    # Level 11 of the boundary of the 21-simplex has C(22, 11) = 705,432
+    # columns, so it is refused before the 22 x C(21, 11) faces of its
+    # facets are enumerated.
+    code, text, took = timed_command(["shift", "--in",
+                                      simplex_boundary(tmp_path, 22),
+                                      "--level", "11"])
+    assert took < 1
+    assert code == 2
+    assert text.startswith("error: ") and "entry limit" in text
 
 
 def loaded_after_cli_import(*names):

@@ -222,6 +222,27 @@ def test_ordered_rank_equals_natural_rank(field):
             assert rank == target_rank(n, d, K.num_facets)
 
 
+@pytest.mark.parametrize("field", [default_field(), PrimeField(7), QQ],
+                         ids=["default", "GF7", "QQ"])
+def test_rigidity_entries_are_cofactors(field):
+    # Entries are read off one reduction of the lifted matrix per dropped
+    # coordinate row; the per-entry cofactor is the oracle.  Over GF(7)
+    # placements are often degenerate, so some lifted rows are dependent
+    # and some reductions have their pivots out of place.
+    rng = fresh_rng(21)
+    for d in range(3, 9):
+        n = d + 2
+        K = random_complex(rng, n, d, f=6)
+        p = _placement(rng, n, d, field)
+        m = rigidity_matrix(K, p)
+        for col, sigma in enumerate(K.facets):
+            lifted = simplex_matrix(p, sigma)
+            for j, v in enumerate(sigma):
+                for i in range(d - 1):
+                    assert m.data[(v - 1) * (d - 1) + i][col] == \
+                        lifted.cofactor(i, j)
+
+
 def test_min_degree_order():
     rng = fresh_rng(9)
     for _ in range(10):

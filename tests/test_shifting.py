@@ -10,7 +10,8 @@ from helpers import (cone_with_smallest_apex, fresh_rng, random_complex,
 from volrig import (build_complex, complete_complex, cone, k_faces)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            SizeExceedsDimension)
-from volrig.linalg import ExactMatrix, PrimeField, default_field
+from volrig.linalg import (ExactMatrix, PrimeField, default_field,
+                           sample_generic_matrix)
 from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
 from volrig.shifting import (_predecessors, characteristic_face,
                              characteristic_membership,
@@ -71,17 +72,52 @@ def test_characteristic_prefix_is_down_set_of_face():
 
 
 def test_basis_minor_matches_det():
-    # Minors above 3 x 3 expand along their last column into memoised
-    # subminors; over GF(7) some entries are zero and are skipped.
+    # Minors above 3 x 3 are read off one memoised reduction of their
+    # rows: the lead alone when the columns are the pivots, one entry of
+    # the reduced rows when they miss one pivot, and a smaller
+    # determinant when they miss more.  Random column sets nearly always
+    # miss two or more, so sets within one swap of the pivots (the first
+    # k columns, for rows in general position) are drawn as well; over
+    # GF(3), GF(5) and GF(7) the pivots often lie elsewhere.
     rng = fresh_rng(3)
-    for field in (GF, PrimeField(7)):
-        b = generic_basis(8, seed=9, field=field)
-        for k in (4, 5, 6):
-            for _ in range(25):
-                rows = tuple(sorted(rng.sample(range(8), k)))
-                cols = tuple(sorted(rng.sample(range(8), k)))
-                assert b.minor(rows, cols) == \
-                    b.matrix.submatrix(rows, cols).det()
+    n = 10
+    for field in (GF, PrimeField(7), PrimeField(5), PrimeField(3)):
+        b = generic_basis(n, seed=9, field=field)
+        for k in range(4, 10):
+            for _ in range(12):
+                rows = tuple(sorted(rng.sample(range(n), k)))
+                near = list(range(k))
+                near[rng.randrange(k)] = rng.randrange(k, n)
+                for cols in (tuple(range(k)), tuple(sorted(near)),
+                             tuple(sorted(rng.sample(range(n), k)))):
+                    assert b.minor(rows, cols) == \
+                        b.matrix.submatrix(rows, cols).det()
+
+
+def test_minor_of_dependent_rows_matches_det():
+    # Rows of a nonsingular basis are independent, so dependent row sets
+    # come from a matrix with combinations of its rows appended: row 8 is
+    # row 0 plus twice row 1, so every minor of rows 0, 1 and 8 together
+    # is zero.
+    rng = fresh_rng(13)
+    for field in (PrimeField(3), PrimeField(5)):
+        m = sample_generic_matrix(8, 11, seed=4, field=field)
+        data = m.data + [[field.add(x, field.mul(2, y))
+                          for x, y in zip(m.data[i], m.data[j])]
+                         for i, j in ((0, 1), (2, 5), (3, 7))]
+        m = ExactMatrix(data, field, _trusted=True)
+        memo = {}
+        for k in range(4, 10):
+            dependent = tuple(sorted((0, 1, 8) + tuple(range(2, k - 1))))
+            for rows in (dependent, tuple(sorted(rng.sample(range(11), k)))):
+                for _ in range(8):
+                    near = list(range(k))
+                    near[rng.randrange(k)] = rng.randrange(k, 11)
+                    for cols in (tuple(range(k)), tuple(sorted(near)),
+                                 tuple(sorted(rng.sample(range(11), k)))):
+                        want = m.submatrix(rows, cols).det()
+                        assert m.minor(rows, cols, memo) == want
+                        assert m.minor(rows, cols, {}) == want
 
 
 def test_basis_minor_memo_is_per_basis():
