@@ -177,7 +177,7 @@ def echelon_insert(rows: list, vec, field):
         if c:
             for j, x in terms:
                 v[j] -= c * x
-    new = ([(j, x % q) for j, x in enumerate(v) if x and x % q] if q
+    new = ([(j, r) for j, x in enumerate(v) if x and (r := x % q)] if q
            else [(j, x) for j, x in enumerate(v) if x])
     if not new:
         return None, field.zero

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 from math import comb
+from operator import le
 
 from .complexes import SimplicialComplex, as_face, k_faces
 from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
@@ -174,6 +175,7 @@ def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
     preds = _predecessors(sigma, basis.n, order)
     if not preds:
         return True
+    check_dense_size(len(vec), len(preds), "predecessor span matrix")
     face_rows = _face_rows(K, len(sigma), basis)
     cols = [_compound(basis, face_rows, t) for t in preds]
     return not _span_matrix(cols, basis.field).in_column_span(vec)
@@ -209,10 +211,10 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
 
 
 def _covers(sigma):
-    """The sets just below sigma: one entry lowered by one."""
+    """Each set just below sigma, with entry i lowered by one, as (i, set)."""
     for i, s in enumerate(sigma):
         if s - 1 > (sigma[i - 1] if i else 0):
-            yield sigma[:i] + (s - 1,) + sigma[i + 1:]
+            yield i, sigma[:i] + (s - 1,) + sigma[i + 1:]
 
 
 def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
@@ -224,19 +226,17 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     span of a down-set's vectors is the span of the vectors of the
     members in it (induction along the order: a non-member's vector lies
     in the span of its own strict down-set).  Each set keeps the
-    semi-echelon rows of the span of its closed down-set and the members
-    that down-set holds.  A set's strict down-set is the union of the
-    closed down-sets of its covers (the set with one entry lowered by
-    one), so its span is the span of the largest cover's rows plus the
-    vectors of the members only the other covers hold; the set is a
-    member when its vector escapes that span.  This is the definitional
-    test of in_shifted_family, reducing a few vectors against shared rows
-    per set (linalg.echelon_insert, which never changes the rows it is
-    given) instead of inserting every predecessor's vector anew.  A
-    span of full dimension (one row per size-k face of K) admits no
-    member above it, so such a set skips the merge and its own vector;
-    its member set may then be incomplete, which no set above it can
-    tell, as each of those has a full-span cover too.  Covers share the
+    semi-echelon rows of the span of its closed down-set.  If c lowers
+    slot i of sigma, a set tau below sigma lies below c exactly when
+    tau_i < sigma_i, so sigma's strict down-set spans the rows of c plus
+    the vectors of the members m below sigma with m_i = sigma_i.  The
+    cover with the most rows is taken; sigma is a member when its vector
+    escapes that span.  This is the definitional test of
+    in_shifted_family, reducing a few vectors against shared rows per
+    set (linalg.echelon_insert, which never changes the rows it is given)
+    instead of inserting every predecessor's vector anew.  A span of full
+    dimension (one row per size-k face of K) admits no member above it,
+    so such a set skips the merge and its own vector.  Covers share the
     set's first label or the one before, so memoised spans are dropped
     once the first label has moved two past theirs.
     """
@@ -253,26 +253,23 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     for sigma in combinations(range(1, basis.n + 1), k):
         if sigma[0] != first:
             first, prev, cur = sigma[0], cur, {}
-        spans = [(cur if tau[0] == first else prev)[tau]
-                 for tau in _covers(sigma)]
-        rows, members = max(spans, key=lambda s: len(s[0]),
-                            default=([], frozenset()))
+        # Only the first set, before any member, has no cover.
+        slot, rows = max(((i, (cur if tau[0] == first else prev)[tau])
+                          for i, tau in _covers(sigma)),
+                         key=lambda c: len(c[1]), default=(0, []))
         if len(rows) < len(face_rows):
-            extra = sorted(frozenset().union(*(m for _, m in spans))
-                           - members)
-            if extra:
-                rows = list(rows)
-                for m in extra:
-                    row, _ = echelon_insert(rows, vecs[m], field)
+            rows = list(rows)
+            for m, v in vecs.items():
+                if m[slot] == sigma[slot] and all(map(le, m, sigma)):
+                    row, _ = echelon_insert(rows, v, field)
                     if row:
                         rows.append(row)
-                members = members.union(extra)
             vec = _compound(basis, face_rows, sigma)
             row, _ = echelon_insert(rows, vec, field)
             if row:
-                rows, members = rows + [row], members | {sigma}
+                rows.append(row)
                 vecs[sigma] = vec
-        cur[sigma] = (rows, members)
+        cur[sigma] = rows
     return sorted(vecs)
 
 

@@ -104,6 +104,24 @@ def test_identity_random_sweep():
             random_identity_sweep(num_samples=bad)
 
 
+def test_identity_fails_on_a_perturbed_rigidity_matrix(monkeypatch):
+    # Every sampled chain is nonzero on every facet, so shifting one entry
+    # of the rigidity matrix changes one entry of its product with the
+    # chain, and the checker must say so.
+    honest = cycles.rigidity_matrix
+
+    def perturbed(K, p):
+        m = honest(K, p)
+        m.data[0][0] = p.field.add(m.data[0][0], p.field.one)
+        return m
+
+    monkeypatch.setattr(cycles, "rigidity_matrix", perturbed)
+    K = octahedron()
+    p = random_placement(6, 3, seed=1)
+    assert not rigidity_boundary_identity(K, p, sample_chain(K, seed=2))
+    assert random_identity_sweep(num_samples=5) == 5
+
+
 def test_identity_rejects_outside_chain():
     K = tetra()
     p = random_placement(4, 3, seed=1)

@@ -11,7 +11,8 @@ from itertools import combinations
 import pytest
 
 import volrig
-from helpers import make_dataset, octahedron, tetra
+from helpers import (fresh_rng, make_dataset, octahedron,
+                     stacked_sphere, tetra)
 from volrig import build_complex, cone
 from volrig.cli import main, run_command
 from volrig.errors import DatasetError, ParseError
@@ -183,6 +184,19 @@ def test_cli_exact_cross_check(tetra_file):
     code, text = run_command(["rank", "--in", tetra_file, "--exact"])
     assert code == 0
     assert "exact-rank 3 (QQ)" in text
+
+
+def test_cli_exact_skips_large_instances(tmp_path):
+    # (d-1) n = 26 on a 13-vertex 2-sphere, above EXACT_SIZE_LIMIT = 24.
+    path = os.path.join(tmp_path, "sphere13.txt")
+    write_complex(stacked_sphere(fresh_rng(1), 3, 13), path)
+    code, text = run_command(["rank", "--in", path, "--exact"])
+    assert code == 0
+    assert "exact-rank skipped (instance too large)" in text.splitlines()
+    code, text = run_command(["rank", "--in", path, "--exact", "--json"])
+    assert code == 0
+    obj = json.loads(text)
+    assert "exact_rank" in obj and obj["exact_rank"] is None
 
 
 def test_cli_sigma0(tetra_file, flexible_file):

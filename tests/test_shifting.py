@@ -1,5 +1,6 @@
 """Generic bases, compound coordinates, shifted families, wedge map."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ from helpers import (cone_with_smallest_apex, fresh_rng, random_complex,
                      stacked_sphere, tetra)
 from volrig import (build_complex, complete_complex, cone, k_faces)
 from volrig.errors import (BadParameters, DimensionMismatch,
-                           SizeExceedsDimension)
+                           InstanceTooLarge, SizeExceedsDimension)
 from volrig.linalg import (ExactMatrix, PrimeField, default_field,
                            sample_generic_matrix)
 from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
@@ -305,6 +306,18 @@ def test_shifted_level_ordered_validates_order():
     b = generic_basis(4, seed=0)
     with pytest.raises(BadParameters):
         shifted_level_ordered(K, 3, b, [(1, 2, 3)])
+
+
+def test_in_shifted_family_refuses_oversized_span_matrix():
+    # In lex order every size-3 set before (43, 44, 45) is a predecessor:
+    # 86 faces x 14,189 sets is about 1.22M entries, past the limit, so
+    # the test is refused before any predecessor vector is computed.
+    K = stacked_sphere(fresh_rng(1), 3, 45)
+    b = generic_basis(45, seed=1)
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge, match="predecessor span matrix"):
+        in_shifted_family(K, (43, 44, 45), b, order="lex")
+    assert time.monotonic() - start < 1
 
 
 def test_cone_commutation():
