@@ -113,35 +113,25 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
     sign(tau minus v, tau) * det(N) * (boundary coefficient at tau),
     where N drops row i from the coordinate matrix of tau minus v (a
     minor of its transpose, whose rows are the vertices' coordinates).
+    It is summed in one pass over the faces of the chain's boundary.
     """
     d = K.d
     field = p.field
     lhs = rigidity_matrix(K, p).mul_vec(chain_vector(K, chain, field))
-    dz = chain_boundary(K, chain, field)
-    level = k_faces(K, d - 2)
-    for v in range(1, K.n + 1):
-        taus = [t for t in level if v in t]
-        for i in range(1, d):
-            acc = field.zero
-            for tau in taus:
-                coeff = dz.get(tau)
-                if coeff is None:
-                    continue
-                rho = tuple(u for u in tau if u != v)
-                j = tau.index(v) + 1
-                coords = ExactMatrix([p.vector(u) for u in rho], field,
-                                     _trusted=True)
-                minor = coords.minor(tuple(range(d - 2)), tuple(
-                    r for r in range(d - 1) if r != i - 1), {})
-                term = field.mul(minor, coeff)
-                if j % 2:
+    rhs = [field.zero] * len(lhs)
+    for tau, coeff in chain_boundary(K, chain, field).items():
+        for j, v in enumerate(tau, start=1):
+            coords = ExactMatrix([p.vector(u) for u in tau if u != v], field,
+                                 _trusted=True)
+            memo = {}
+            for i in range(1, d):
+                term = field.mul(coords.minor(tuple(range(d - 2)), tuple(
+                    r for r in range(d - 1) if r != i - 1), memo), coeff)
+                if (j + d + i) % 2:
                     term = field.neg(term)
-                acc = field.add(acc, term)
-            if (d + i) % 2:
-                acc = field.neg(acc)
-            if lhs[(v - 1) * (d - 1) + (i - 1)] != acc:
-                return False
-    return True
+                at = (v - 1) * (d - 1) + (i - 1)
+                rhs[at] = field.add(rhs[at], term)
+    return lhs == rhs
 
 
 def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,

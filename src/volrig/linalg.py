@@ -25,10 +25,13 @@ PRIME_TABLE = (
 DEFAULT_PRIME = PRIME_TABLE[0]
 
 # Largest dense matrix, in entries, that the package will build: the
-# rigidity matrix, the n x n generic basis of shifting, the
+# rigidity matrix (for generic ranks, independent facet columns and the
+# rational rank alike), the n x n generic basis of shifting, the
 # f_{k-1} x C(n,k) shifting matrix of level k, the f x (n-d)(d-1)
-# membership span matrix of the characteristic face, the
-# C(n,d) x (d-1)n wedge matrix and the boundary matrix.  Sparsity
+# membership span matrix of the characteristic face, the predecessor
+# span matrix of any set (checked from the count of predecessors, before
+# they are listed), the wedge matrix on all C(n,d) sets or on given
+# faces, and the boundary matrix.  Sparsity
 # completion holds its a n - b facets to the same number, and compound
 # coordinates of size k >= 4 their f_{k-1} memoised k x n reductions of
 # basis rows.  On a 2-core VM (Python 3.11) sampling and checking an

@@ -262,6 +262,7 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
             raise DimensionMismatch("faces of mixed cardinality")
         if s[-1] > n:
             raise VertexOutOfRange("face %r exceeds n=%d" % (s, n))
+    check_dense_size((d - 1) * n, len(faces), "rigidity matrix")
     if field is None:
         field = default_field()
     order = _min_degree_order(n, faces)
@@ -282,6 +283,7 @@ def rational_rank(K: SimplicialComplex, seed: int = 0) -> int:
     generic_rank, which does not change it but keeps the sparse matrix
     from filling in with large fractions.
     """
+    check_dense_size((K.d - 1) * K.n, K.num_facets, "rigidity matrix")
     rng = random.Random(seed)
     coords = {v: tuple(QQ.of(rng.randrange(-999, 1000))
                        for _ in range(K.d - 1))

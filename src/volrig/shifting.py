@@ -13,7 +13,7 @@ vectors of all strictly smaller sets, in the chosen order on sets.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import le
 
@@ -158,27 +158,48 @@ def _predecessors(sigma, n: int, order: str) -> list:
     raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
 
 
-def _span_matrix(vectors, field) -> ExactMatrix:
-    """The matrix whose columns are the given equal-length vectors."""
-    return ExactMatrix([list(row) for row in zip(*vectors)], field,
-                       _trusted=True)
+def _predecessor_count(sigma, n: int, order: str) -> int:
+    """len(_predecessors(sigma, n, order)), counted without listing them.
+
+    For lex, a set sorts before sigma when it agrees with sigma before
+    some slot i and holds a smaller label x there, with the remaining
+    k-1-i labels above x.  For the partial order, ends[x] counts the
+    increasing label sequences so far that end at x and stay below sigma
+    slot by slot; sigma itself is the one sequence left out.
+    """
+    k = len(sigma)
+    if order == "lex":
+        return sum(comb(n - x, k - 1 - i) for i, s in enumerate(sigma)
+                   for x in range((sigma[i - 1] if i else 0) + 1, s))
+    if order == "p":
+        ends = [1]  # the empty sequence, ending below every label
+        for s in sigma:
+            ends = [0, *accumulate(ends + [0] * (s - len(ends)))]
+        return sum(ends) - 1
+    raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
+
+
+def _predecessor_span(K: SimplicialComplex, sigma, basis: GenericBasis,
+                      order: str) -> ExactMatrix:
+    """Columns: the compound vectors of sigma's order-predecessors, in
+    _predecessors order; rows: K's size-k faces.  The size guard counts
+    the predecessors before they are listed."""
+    face_rows = _face_rows(K, len(sigma), basis)
+    check_dense_size(len(face_rows), _predecessor_count(sigma, basis.n, order),
+                     "predecessor span matrix")
+    cols = [tuple(s - 1 for s in t)
+            for t in _predecessors(sigma, basis.n, order)]
+    return ExactMatrix([[basis.minor(rows, c) for c in cols]
+                        for rows in face_rows], basis.field, _trusted=True)
 
 
 def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
                       order: str = "p") -> bool:
     """Definitional membership test: does the compound vector of sigma
-    escape the span of the vectors of all its order-predecessors?"""
+    escape the column span of its _predecessor_span?"""
     sigma = as_face(sigma)
     vec = compound_vector(basis, K, sigma)
-    if not any(vec):
-        return False
-    preds = _predecessors(sigma, basis.n, order)
-    if not preds:
-        return True
-    check_dense_size(len(vec), len(preds), "predecessor span matrix")
-    face_rows = _face_rows(K, len(sigma), basis)
-    cols = [_compound(basis, face_rows, t) for t in preds]
-    return not _span_matrix(cols, basis.field).in_column_span(vec)
+    return not _predecessor_span(K, sigma, basis, order).in_column_span(vec)
 
 
 def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
@@ -348,11 +369,7 @@ def _membership(K: SimplicialComplex, trials: int, seed: int, field,
     votes = tuple(in_shifted_family(K, face, b) for b in drawn)
     member = all(votes)
     if any(votes) and not member:
-        preds = _predecessors(face, K.n, "p")
-        face_rows = _face_rows(K, K.d, drawn[0])
-        ranks = [_span_matrix([_compound(b, face_rows, s) for s in preds],
-                              field).rank()
-                 for b in drawn]
+        ranks = [_predecessor_span(K, face, b, "p").rank() for b in drawn]
         # The best rank with the face exceeds the best without it exactly
         # when a basis voting yes reaches the best predecessor rank.
         member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)
@@ -380,6 +397,7 @@ def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:
         rows = list(combinations(range(1, n + 1), d))
     else:
         rows = [as_face(s) for s in faces]
+        check_dense_size(len(rows), (d - 1) * n, "wedge map matrix")
         for s in rows:
             if len(s) != d:
                 raise DimensionMismatch("row face %r is not size %d" % (s, d))

@@ -11,9 +11,10 @@ from itertools import combinations
 import pytest
 
 import volrig
+import volrig.cli
 from helpers import (fresh_rng, make_dataset, octahedron,
                      stacked_sphere, tetra)
-from volrig import build_complex, cone
+from volrig import build_complex, cone, generic_rank
 from volrig.cli import main, run_command
 from volrig.errors import DatasetError, ParseError
 from volrig.fileio import (dataset_root, format_complex, load_dataset,
@@ -184,6 +185,25 @@ def test_cli_exact_cross_check(tetra_file):
     code, text = run_command(["rank", "--in", tetra_file, "--exact"])
     assert code == 0
     assert "exact-rank 3 (QQ)" in text
+
+
+def test_cli_exact_rank_can_certify_rigidity(tetra_file, monkeypatch):
+    # Every GF(p) trial one short of the target: the exact rank alone
+    # reaches it, and rigid reports RIGID with exit 0.
+    def short(K, trials, seed, field):
+        rep = generic_rank(K, trials=trials, seed=seed, field=field)
+        return rep._replace(
+            generic_rank=rep.generic_rank - 1, is_rigid=False, corank=1,
+            trial_ranks=tuple(r - 1 for r in rep.trial_ranks))
+
+    monkeypatch.setattr(volrig.cli, "generic_rank", short)
+    code, text = run_command(["rigid", "--in", tetra_file])
+    assert code == 1 and "NOT-RIGID" in text
+    code, text = run_command(["rigid", "--in", tetra_file, "--exact"])
+    assert code == 0
+    lines = text.splitlines()
+    assert "rank 2 target 3" in lines[2] and lines[3] == "exact-rank 3 (QQ)"
+    assert lines[4].startswith("RIGID (trials=3, ")
 
 
 def test_cli_exact_skips_large_instances(tmp_path):
@@ -429,6 +449,8 @@ def test_cli_contract_single_edge(tmp_path):
     assert "n 5 d 3 facets 6" in text
     code, text = run_command(["contract", "--in", path, "--edge", "1-2"])
     assert code == 2
+    code, text = run_command(["contract", "--in", path, "--edge", "1,x"])
+    assert (code, text) == (2, "error: --edge wants two integers\n")
 
 
 def test_cli_contract_reduce(tmp_path):

@@ -1,5 +1,6 @@
 """Rigidity matrix structure, trivial motions, and generic ranks."""
 
+import time
 from math import comb
 
 import pytest
@@ -10,7 +11,8 @@ from helpers import (fresh_rng, octahedron, random_complex, single_triangle,
 from volrig import (Placement, build_complex, columns_independent, cone,
                     generic_rank, is_volume_rigid, random_placement,
                     rigidity_matrix, simplex_matrix, trivial_motion_basis)
-from volrig.errors import (DimensionMismatch, MissingVertexCoordinates)
+from volrig.errors import (DimensionMismatch, InstanceTooLarge,
+                           MissingVertexCoordinates)
 from volrig.linalg import QQ, PrimeField, default_field
 from volrig.rigidity import (_min_degree_order, _ordered_rank,
                              _volume_gradient_columns, rational_rank,
@@ -176,6 +178,19 @@ def test_columns_independent():
 
 def test_columns_independent_duplicate_is_dependent():
     assert not columns_independent(4, [(1, 2, 3), (1, 2, 3)])
+
+
+def test_entry_points_refuse_oversized_rigidity_matrix():
+    # One facet on 300,000 vertices: a 600,000 x 1 rigidity matrix, past
+    # the entry limit, as generic_rank already refuses.  Both used to
+    # draw a placement and assemble the whole matrix before ranking it.
+    K = build_complex(300000, [(1, 2, 3)])
+    for check in (lambda: columns_independent(300000, [(1, 2, 3)], trials=1),
+                  lambda: rational_rank(K)):
+        start = time.monotonic()
+        with pytest.raises(InstanceTooLarge, match="rigidity matrix"):
+            check()
+        assert time.monotonic() - start < 1
 
 
 def test_rigid_decision_stable_across_seeds():

@@ -1,20 +1,24 @@
 """Generic bases, compound coordinates, shifted families, wedge map."""
 
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+import volrig.shifting
 from helpers import (cone_with_smallest_apex, fresh_rng, random_complex,
                      random_linear_extension, random_shifted_complex,
                      stacked_sphere, tetra)
 from volrig import (build_complex, complete_complex, cone, k_faces)
 from volrig.errors import (BadParameters, DimensionMismatch,
-                           InstanceTooLarge, SizeExceedsDimension)
+                           GenericityFailure, InstanceTooLarge,
+                           SingularBasis, SizeExceedsDimension)
 from volrig.linalg import (ExactMatrix, PrimeField, default_field,
                            sample_generic_matrix)
 from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
-from volrig.shifting import (_predecessors, characteristic_face,
+from volrig.shifting import (_predecessor_count, _predecessors,
+                             characteristic_face,
                              characteristic_membership,
                              characteristic_prefix, componentwise_leq,
                              compound_vector, generic_basis,
@@ -61,7 +65,8 @@ def test_characteristic_prefix_is_down_set_of_face():
         assert _predecessors(sigma, n, "p") == [
             t for t in combinations(range(1, n + 1), d)
             if t != sigma and componentwise_leq(t, sigma)]
-    # Random sets' down-sets, against the same scan.
+    # Random sets' down-sets, against the same scan, and both orders'
+    # predecessor counts against the listings.
     rng = fresh_rng(8)
     for _ in range(60):
         n = rng.randint(2, 9)
@@ -70,6 +75,11 @@ def test_characteristic_prefix_is_down_set_of_face():
         assert _predecessors(sigma, n, "p") == [
             t for t in combinations(range(1, n + 1), k)
             if t != sigma and componentwise_leq(t, sigma)]
+        for order in ("p", "lex"):
+            assert _predecessor_count(sigma, n, order) == \
+                len(_predecessors(sigma, n, order))
+    with pytest.raises(BadParameters):
+        _predecessor_count((1, 2), 3, "revlex")
 
 
 def test_basis_minor_matches_det():
@@ -139,6 +149,31 @@ def test_generic_basis_shape():
     assert all(b.matrix.data[i][0] == 1 for i in range(6))
     again = generic_basis(6, seed=4)
     assert again.matrix == b.matrix
+
+
+def test_generic_basis_redraws_singular_samples(monkeypatch):
+    # Singular draws retry with seed + (attempt << 32); the basis keeps
+    # the seed it was asked for.  Sixteen singular draws give up.
+    seeds, singular = [], 3
+
+    def sample(n, ncols, seed, first_column_ones, field):
+        seeds.append(seed)
+        if len(seeds) <= singular:
+            return ExactMatrix.zeros(n, n, field)
+        return sample_generic_matrix(n, ncols, seed, field=field,
+                                     first_column_ones=first_column_ones)
+
+    monkeypatch.setattr(volrig.shifting, "sample_generic_matrix", sample)
+    b = generic_basis(5, seed=7)
+    assert seeds == [7 + (a << 32) for a in range(4)]
+    assert b.seed == 7 and b.matrix.rank() == 5
+    assert b.matrix == sample_generic_matrix(5, 5, 7 + (3 << 32),
+                                             first_column_ones=True, field=GF)
+    seeds.clear()
+    singular = 16
+    with pytest.raises(SingularBasis, match="16 attempts"):
+        generic_basis(5, seed=7)
+    assert seeds == [7 + (a << 32) for a in range(16)]
 
 
 def test_compound_vector_of_ones_column():
@@ -308,6 +343,24 @@ def test_shifted_level_ordered_validates_order():
         shifted_level_ordered(K, 3, b, [(1, 2, 3)])
 
 
+def test_shifted_level_stable_retries_one_round(monkeypatch):
+    # Bases seed + t disagree; the second round, seeds seed + 2^48 + t,
+    # agrees and is returned.  A second disagreement gives up.
+    seeds = []
+
+    def level(K, k, basis, order):
+        seeds.append(basis.seed)
+        return [(1, 2, 3)] if basis.seed >= 1 << 48 else [(basis.seed,)]
+
+    monkeypatch.setattr(volrig.shifting, "shifted_level", level)
+    assert shifted_level_stable(tetra(), 3, seed=5) == [(1, 2, 3)]
+    assert seeds == [5, 6, 7] + [(1 << 48) + 5 + t for t in range(3)]
+    monkeypatch.setattr(volrig.shifting, "shifted_level",
+                        lambda K, k, basis, order: [(basis.seed,)])
+    with pytest.raises(GenericityFailure):
+        shifted_level_stable(tetra(), 3, seed=5)
+
+
 def test_in_shifted_family_refuses_oversized_span_matrix():
     # In lex order every size-3 set before (43, 44, 45) is a predecessor:
     # 86 faces x 14,189 sets is about 1.22M entries, past the limit, so
@@ -318,6 +371,23 @@ def test_in_shifted_family_refuses_oversized_span_matrix():
     with pytest.raises(InstanceTooLarge, match="predecessor span matrix"):
         in_shifted_family(K, (43, 44, 45), b, order="lex")
     assert time.monotonic() - start < 1
+
+
+def test_in_shifted_family_refuses_before_listing_predecessors():
+    # At (98, 99, 100) on 100 vertices both orders have 161,699
+    # predecessors, 196 faces x 161,699 sets past the limit.  Listing
+    # them took 11-13 MB; the count refuses without them.
+    K = stacked_sphere(fresh_rng(1), 3, 100)
+    b = generic_basis(100, seed=1)
+    for order in ("p", "lex"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceTooLarge, match="196 x 161699"):
+                in_shifted_family(K, (98, 99, 100), b, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_cone_commutation():
@@ -447,6 +517,17 @@ def test_wedge_restriction_matches_rigidity_rank():
         p = placement_from_basis(b, d)
         assert wedge_map_matrix(b, d, faces=K.facets).rank() == \
             rigidity_matrix(K, p).rank()
+
+
+def test_wedge_matrix_refuses_oversized_face_list():
+    # 6000 faces x 2 * 60 columns is 720,000 entries, past the limit,
+    # as the faces=None branch already refuses.
+    b = generic_basis(60, seed=1)
+    faces = list(combinations(range(1, 61), 3))[:6000]
+    start = time.monotonic()
+    with pytest.raises(InstanceTooLarge, match="wedge map matrix"):
+        wedge_map_matrix(b, 3, faces=faces)
+    assert time.monotonic() - start < 1
 
 
 def test_placement_from_basis_reads_columns():
