@@ -9,9 +9,9 @@ lists each triangulation as a bracketed facet list, e.g.
     manifold_lex_d2_n8_#4=[[1,2,3],[1,2,4],...,[6,7,8]]
 
 This script reads such a file, or a directory of them, copied to the
-machine by hand.  It converts every triangulation it finds and writes a
-manifest.txt with sha256 checksums, so that `volrig verify-dataset` and
-the test suite can consume the result.  It never uses the network.
+machine by hand.  `volrig.fileio.write_dataset` writes every triangulation
+it finds, as c00.txt, c01.txt, ... plus a checksummed manifest.txt, for
+`volrig verify-dataset` and the test suite.  It never uses the network.
 
 Usage:
     python scripts/fetch_surface_data.py --dest ~/surface-data \\
@@ -27,9 +27,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from volrig import build_complex
-from volrig.fileio import sha256_file, write_complex
+from volrig.fileio import write_dataset
 
 SURFACES = ("klein", "rp2", "torus")
+SCRIPT = "scripts/fetch_surface_data.py"
 
 FACET_LIST = re.compile(r"=\s*\[\s*(\[[0-9\s,\[\]]+\])\s*\]")
 TRIPLE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -67,20 +68,9 @@ def convert(name, raw_text, dest):
     if not triangulations:
         raise SystemExit("no facet lists recognized in the %s source" % name)
     outdir = os.path.join(dest, name)
-    os.makedirs(outdir, exist_ok=True)
-    manifest = ["# surface: %s" % name,
-                "# converted by scripts/fetch_surface_data.py"]
-    for i, facets in enumerate(triangulations):
-        n = max(v for f in facets for v in f)
-        K = build_complex(n, facets)
-        fname = "%s_%02d.txt" % (name, i)
-        path = os.path.join(outdir, fname)
-        write_complex(K, path)
-        manifest.append("%s %d %d %s" % (fname, K.n, K.num_facets,
-                                         sha256_file(path)))
-    with open(os.path.join(outdir, "manifest.txt"), "w",
-              encoding="ascii") as fh:
-        fh.write("\n".join(manifest) + "\n")
+    write_dataset(outdir, [build_complex(max(map(max, facets)), facets)
+                           for facets in triangulations],
+                  "# surface: %s\n# converted by %s" % (name, SCRIPT))
     return len(triangulations), outdir
 
 

@@ -17,7 +17,7 @@ from .cycles import (GF2, DatasetReport, SurfaceDataset, boundary_matrix,
                      rigidity_boundary_identity, verify_dataset)
 from .errors import VolrigError
 from .fileio import (format_complex, load_dataset, parse_complex,
-                     read_complex, write_complex)
+                     read_complex, write_complex, write_dataset)
 from .linalg import (DEFAULT_PRIME, PRIME_TABLE, QQ, ExactMatrix, PrimeField,
                      RationalField, default_field, sample_generic_matrix)
 from .rigidity import (Placement, RigidityReport, columns_independent,

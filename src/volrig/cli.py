@@ -68,7 +68,8 @@ def _exact_rank_line(K, args, lines, obj):
     return r
 
 
-def _rank_common(args, field):
+def _cmd_rank(args, field):
+    """rank, and rigid, whose verdict an --exact rank can lift to RIGID."""
     K = read_complex(args.infile)
     rep = generic_rank(K, trials=args.trials, seed=args.seed, field=field)
     lines = ["n %d d %d facets %d" % (K.n, K.d, K.num_facets),
@@ -77,21 +78,10 @@ def _rank_common(args, field):
                                        _suffix(rep.arithmetic, rep.trials))]
     obj = rep._asdict()
     obj["command"] = args.command
-    best = rep.generic_rank
     exact = _exact_rank_line(K, args, lines, obj)
-    if exact is not None and exact > best:
-        best = exact
-    return K, rep, best, lines, obj
-
-
-def _cmd_rank(args, field):
-    _, _, _, lines, obj = _rank_common(args, field)
-    return 0, lines, obj
-
-
-def _cmd_rigid(args, field):
-    _, rep, best, lines, obj = _rank_common(args, field)
-    rigid = best == rep.target_rank
+    if args.command == "rank":
+        return 0, lines, obj
+    rigid = rep.is_rigid or exact == rep.target_rank
     lines.append("%s %s" % ("RIGID" if rigid else "NOT-RIGID",
                             _suffix(rep.arithmetic, rep.trials)))
     obj["is_rigid"] = rigid
@@ -335,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("rank", _cmd_rank, infile,
         help="generic rank of the rigidity matrix")
-    add("rigid", _cmd_rigid, infile, help="assert generic volume rigidity")
+    add("rigid", _cmd_rank, infile, help="assert generic volume rigidity")
 
     p = add("shift", _cmd_shift, infile, help="members of the shifted family")
     p.add_argument("--order", choices=("p", "lex"), default="p")

@@ -21,6 +21,7 @@ from .complexes import (SimplicialComplex, as_face, build_complex,
                         contract_edge, facets_containing, k_faces,
                         remove_facet)
 from .errors import BadParameters, ChainOutsideComplex
+from .fileio import SurfaceDataset
 from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
                      default_field)
 from .rigidity import (Placement, RigidityReport, generic_rank,
@@ -295,9 +296,6 @@ def contraction_reduce(K: SimplicialComplex):
         insort(gone, e[1])
         log.append((u, w))
     return K, log
-
-
-SurfaceDataset = namedtuple("SurfaceDataset", "name d complexes provenance")
 
 
 class DatasetReport(namedtuple("DatasetReport", (

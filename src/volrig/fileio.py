@@ -5,20 +5,22 @@ integers separated by one space).  Every following non-empty line that
 does not start with `#` carries exactly d vertex labels, space
 separated.  A trailing newline is optional on read and always written.
 
-A dataset directory holds one complex file per triangulation plus a
-`manifest.txt` whose non-comment lines read
-`filename vertex_count facet_count sha256`.
+A dataset directory, as write_dataset writes and load_dataset reads it,
+holds one complex file per triangulation plus a `manifest.txt` of `#`
+provenance lines and `filename vertex_count facet_count sha256` lines.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 
 from .complexes import SimplicialComplex, build_complex
-from .cycles import SurfaceDataset
 from .errors import DatasetError, ParseError
 
 ENV_DATA_DIR = "VOLRIG_DATA"
+
+SurfaceDataset = namedtuple("SurfaceDataset", "name d complexes provenance")
 
 
 def parse_complex(text: str) -> SimplicialComplex:
@@ -96,6 +98,22 @@ def parse_manifest(text: str) -> list:
         except ValueError:
             raise ParseError("manifest counts must be integers", no)
     return entries
+
+
+def write_dataset(dirpath: str, complexes, provenance: str) -> None:
+    """Inverse of load_dataset; complex i goes to cNN.txt, in order."""
+    lines = [line.strip() for line in provenance.split("\n") if line.strip()]
+    if not all(line.startswith("#") for line in lines):
+        raise DatasetError("provenance lines must start with '#'")
+    os.makedirs(dirpath, exist_ok=True)
+    for i, K in enumerate(complexes):
+        path = os.path.join(dirpath, "c%02d.txt" % i)
+        write_complex(K, path)
+        lines.append("c%02d.txt %d %d %s" % (i, K.n, K.num_facets,
+                                             sha256_file(path)))
+    with open(os.path.join(dirpath, "manifest.txt"), "w", encoding="ascii",
+              newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_dataset(dirpath: str, name: str | None = None) -> SurfaceDataset:

@@ -13,7 +13,7 @@ vectors of all strictly smaller sets, in the chosen order on sets.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, takewhile
 from math import comb
 from operator import le
 
@@ -153,8 +153,8 @@ def _predecessors(sigma, n: int, order: str) -> list:
     if order == "p":
         return _down_set(sigma)[:-1]
     if order == "lex":
-        return [t for t in combinations(range(1, n + 1), len(sigma))
-                if t < sigma]
+        return list(takewhile(sigma.__gt__,
+                              combinations(range(1, n + 1), len(sigma))))
     raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
 
 

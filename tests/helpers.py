@@ -1,11 +1,10 @@
 """Shared fixtures: small named complexes and random generators."""
 
-import os
 import random
 from itertools import combinations
 
 from volrig import build_complex, cone, relabel
-from volrig.fileio import sha256_file, write_complex
+from volrig.fileio import write_dataset
 from volrig.shifting import componentwise_leq
 from volrig.sparsity import bipartite_complete_graph
 
@@ -105,19 +104,9 @@ def random_linear_extension(rng, n, k):
     return out
 
 
-def make_dataset(dirpath, complexes, note="# source: handmade\n"):
-    """Dataset directory: one file per complex plus its manifest."""
-    os.makedirs(dirpath, exist_ok=True)
-    lines = [note.rstrip("\n")]
-    for i, K in enumerate(complexes):
-        fname = "c%02d.txt" % i
-        path = os.path.join(dirpath, fname)
-        write_complex(K, path)
-        lines.append("%s %d %d %s" % (fname, K.n, K.num_facets,
-                                      sha256_file(path)))
-    with open(os.path.join(dirpath, "manifest.txt"), "w",
-              encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+def make_dataset(dirpath, complexes):
+    """Dataset directory of handmade complexes, in fileio's layout."""
+    write_dataset(dirpath, complexes, "# source: handmade")
 
 
 def fresh_rng(seed):

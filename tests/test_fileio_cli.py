@@ -1,6 +1,7 @@
 """File format, dataset loading, and command-line behavior."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,14 +13,14 @@ import pytest
 
 import volrig
 import volrig.cli
-from helpers import (fresh_rng, make_dataset, octahedron,
-                     stacked_sphere, tetra)
-from volrig import build_complex, cone, generic_rank
+from helpers import (csaszar_torus, fresh_rng, make_dataset, octahedron,
+                     projective_plane_six, stacked_sphere, tetra)
+from volrig import build_complex, cone, generic_rank, verify_dataset
 from volrig.cli import main, run_command
 from volrig.errors import DatasetError, ParseError
 from volrig.fileio import (dataset_root, format_complex, load_dataset,
                            parse_complex, parse_manifest, read_complex,
-                           sha256_file, write_complex)
+                           sha256_file, write_complex, write_dataset)
 from volrig.sparsity import bipartite_complete_graph
 
 TETRA_TEXT = "4 3\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
@@ -102,16 +103,38 @@ def test_load_dataset_rejects_bad_checksum(tmp_path):
 
 
 def test_load_dataset_rejects_wrong_counts(tmp_path):
+    # A file that repeats a facet line: the manifest counts 5 facets, the
+    # file parses to 4.
     root = os.path.join(tmp_path, "ds")
-    make_dataset(root, [tetra()])
-    manifest = os.path.join(root, "manifest.txt")
-    with open(manifest, "r", encoding="ascii") as fh:
-        text = fh.read().replace(" 4 4 ", " 4 5 ")
-    with open(manifest, "w", encoding="ascii") as fh:
-        fh.write(text)
+    K = tetra()
+    make_dataset(root, [K._replace(facets=K.facets + K.facets[:1])])
     with pytest.raises(DatasetError) as err:
         load_dataset(root)
     assert "disagree" in str(err.value)
+
+
+def test_load_dataset_rejects_empty_and_mixed_datasets(tmp_path):
+    for name, complexes, message in (
+            ("empty", [], "no complexes"),
+            ("mixed", [tetra(), build_complex(3, [(1, 2)])], "mixes")):
+        root = os.path.join(tmp_path, name)
+        make_dataset(root, complexes)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        assert message in str(err.value)
+
+
+def test_write_dataset_round_trip(tmp_path):
+    root = os.path.join(tmp_path, "ds")
+    complexes = [octahedron(), tetra(), stacked_sphere(fresh_rng(3), 3, 7)]
+    write_dataset(root, complexes, "# surface: none\n# second line")
+    assert sorted(os.listdir(root)) == ["c00.txt", "c01.txt", "c02.txt",
+                                        "manifest.txt"]
+    ds = load_dataset(root)
+    assert ds.complexes == tuple(complexes)
+    assert ds.provenance == "# surface: none\n# second line"
+    with pytest.raises(DatasetError):
+        write_dataset(os.path.join(tmp_path, "bad"), [tetra()], "surface")
 
 
 def test_load_dataset_requires_manifest(tmp_path):
@@ -126,6 +149,35 @@ def test_load_dataset_rejects_missing_file(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_dataset(root)
     assert "missing" in str(err.value)
+
+
+def load_importer():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "fetch_surface_data.py")
+    spec = importlib.util.spec_from_file_location("fetch_surface_data", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lutz_markup(K):
+    """K as one line of Lutz's census: `manifold_..._#1=[[1,2,5],...]`."""
+    return "manifold_lex_d2_n%d_#1=[%s]\n" % (K.n, ",".join(
+        "[%s]" % ",".join(str(v) for v in f) for f in K.facets))
+
+
+def test_importer_round_trip(tmp_path):
+    importer = load_importer()
+    for name, K in (("rp2", projective_plane_six()),
+                    ("torus", csaszar_torus())):
+        count, outdir = importer.convert(name, lutz_markup(K), str(tmp_path))
+        assert (count, outdir) == (1, os.path.join(tmp_path, name))
+        ds = load_dataset(outdir)
+        assert ds.complexes == (K,)
+        assert ds.provenance == ("# surface: %s\n# converted by "
+                                 "scripts/fetch_surface_data.py" % name)
+        rep = verify_dataset(ds)
+        assert rep.size == 1 and rep.all_rigid
 
 
 def test_dataset_root_env(tmp_path, monkeypatch):
@@ -249,6 +301,19 @@ def test_cli_psi():
         code, text = run_command(["psi", "--d", "3", "--n", "5",
                                   "--trials", trials])
         assert (code, text) == (2, "error: trials must be at least 1\n")
+
+
+def test_cli_sampling_commands_refuse_trials_below_one(tetra_file, tmp_path):
+    root = os.path.join(tmp_path, "spheres")
+    make_dataset(root, [tetra()])
+    for argv in (["rank", "--in", tetra_file], ["rigid", "--in", tetra_file],
+                 ["shift", "--in", tetra_file],
+                 ["sigma0", "--in", tetra_file],
+                 ["counterexample", "--d", "3"],
+                 ["verify-dataset", "--dir", root]):
+        for trials in ("0", "-2"):
+            assert run_command(argv + ["--trials", trials]) == (
+                2, "error: trials must be at least 1\n"), argv
 
 
 def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):

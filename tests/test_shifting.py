@@ -65,8 +65,8 @@ def test_characteristic_prefix_is_down_set_of_face():
         assert _predecessors(sigma, n, "p") == [
             t for t in combinations(range(1, n + 1), d)
             if t != sigma and componentwise_leq(t, sigma)]
-    # Random sets' down-sets, against the same scan, and both orders'
-    # predecessor counts against the listings.
+    # Random sets' down-sets and lex predecessors, against the same scan,
+    # and both orders' predecessor counts against the listings.
     rng = fresh_rng(8)
     for _ in range(60):
         n = rng.randint(2, 9)
@@ -75,6 +75,8 @@ def test_characteristic_prefix_is_down_set_of_face():
         assert _predecessors(sigma, n, "p") == [
             t for t in combinations(range(1, n + 1), k)
             if t != sigma and componentwise_leq(t, sigma)]
+        assert _predecessors(sigma, n, "lex") == [
+            t for t in combinations(range(1, n + 1), k) if t < sigma]
         for order in ("p", "lex"):
             assert _predecessor_count(sigma, n, order) == \
                 len(_predecessors(sigma, n, order))
