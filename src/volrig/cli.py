@@ -43,7 +43,7 @@ def _face_str(face) -> str:
 
 def _payload(args, K, lines, obj):
     """Send the resulting complex to --out, or inline it into the report."""
-    if getattr(args, "out", None):
+    if args.out:
         write_complex(K, args.out)
         lines.append("wrote %s" % args.out)
     else:
@@ -120,9 +120,11 @@ def _cmd_sigma0(args, field):
 def _cmd_psi(args, field):
     if args.trials < 1:
         raise BadParameters("trials must be at least 1")
-    if 2 <= args.d <= args.n:
-        check_dense_size(comb(args.n, args.d), (args.d - 1) * args.n,
-                         "wedge map matrix")
+    if not 2 <= args.d <= args.n:
+        raise BadParameters("need 2 <= d <= n, got d=%d n=%d"
+                            % (args.d, args.n))
+    check_dense_size(comb(args.n, args.d), (args.d - 1) * args.n,
+                     "wedge map matrix")
     best = 0
     for t in range(args.trials):
         basis = generic_basis(args.n, seed=args.seed + t, field=field)
@@ -297,16 +299,16 @@ def _cmd_verify_dataset(args, field):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trials", type=int, default=3,
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=int, default=3,
                         help="independent random samples (default 3)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--prime", type=int, default=0, metavar="INDEX",
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--prime", type=int, default=0, metavar="INDEX",
                         help="index into the prime table (default 0)")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable report")
-    common.add_argument("--exact", action="store_true",
-                        help="rational cross-check where size permits")
+    exact = argparse.ArgumentParser(add_help=False)
+    exact.add_argument("--exact", action="store_true",
+                       help="rational cross-check where size permits")
     infile = argparse.ArgumentParser(add_help=False)
     infile.add_argument("--in", dest="infile", required=True)
     counts = argparse.ArgumentParser(add_help=False)
@@ -319,23 +321,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, *parents, **kw):
-        p = sub.add_parser(name, parents=[common, *parents], **kw)
+        p = sub.add_parser(name, parents=parents, **kw)
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable report")
         p.set_defaults(handler=handler)
         return p
 
-    add("rank", _cmd_rank, infile,
+    add("rank", _cmd_rank, trials, seeded, exact, infile,
         help="generic rank of the rigidity matrix")
-    add("rigid", _cmd_rank, infile, help="assert generic volume rigidity")
+    add("rigid", _cmd_rank, trials, seeded, exact, infile,
+        help="assert generic volume rigidity")
 
-    p = add("shift", _cmd_shift, infile, help="members of the shifted family")
+    p = add("shift", _cmd_shift, trials, seeded, infile,
+            help="members of the shifted family")
     p.add_argument("--order", choices=("p", "lex"), default="p")
     p.add_argument("--level", type=int, default=None,
                    help="face size (default: facet cardinality)")
 
-    add("sigma0", _cmd_sigma0, infile,
+    add("sigma0", _cmd_sigma0, trials, seeded, infile,
         help="membership of the characteristic face")
 
-    p = add("psi", _cmd_psi, help="rank and kernel of the wedge map")
+    p = add("psi", _cmd_psi, trials, seeded,
+            help="rank and kernel of the wedge map")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="greedy completion to a sparsity basis")
     p.add_argument("--out", default=None)
 
-    p = add("counterexample", _cmd_counterexample,
+    p = add("counterexample", _cmd_counterexample, trials, seeded,
             help="tight but flexible complex for a given cardinality")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", default=None)
@@ -363,11 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod2", action="store_true",
                    help="coefficients mod 2 instead of rationals")
 
-    p = add("boundary-id", _cmd_boundary_id,
+    p = add("boundary-id", _cmd_boundary_id, seeded,
             help="random sweep of the rigidity-boundary identity")
     p.add_argument("--samples", type=int, default=50)
 
-    p = add("verify-dataset", _cmd_verify_dataset,
+    p = add("verify-dataset", _cmd_verify_dataset, trials, seeded,
             help="check every complex of a dataset directory")
     p.add_argument("--name", default=None,
                    help="subdirectory under the dataset root")
@@ -389,15 +396,15 @@ def run_command(argv) -> tuple:
     except SystemExit as e:
         code = 0 if e.code in (0, None) else 2
         return code, buf.getvalue()
-    if args.prime < 0 or args.prime >= len(PRIME_TABLE):
-        return 2, "error: prime index %d outside 0..%d\n" % (
-            args.prime, len(PRIME_TABLE) - 1)
-    field = PrimeField(PRIME_TABLE[args.prime])
+    field = None
+    if "prime" in args:
+        if args.prime < 0 or args.prime >= len(PRIME_TABLE):
+            return 2, "error: prime index %d outside 0..%d\n" % (
+                args.prime, len(PRIME_TABLE) - 1)
+        field = PrimeField(PRIME_TABLE[args.prime])
     try:
         code, lines, obj = args.handler(args, field)
-    except VolrigError as e:
-        return 2, "error: %s\n" % e
-    except OSError as e:
+    except (VolrigError, OSError) as e:
         return 2, "error: %s\n" % e
     if args.json:
         import json  # only --json reports need it; keeps start-up lean

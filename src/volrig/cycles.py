@@ -138,6 +138,8 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
 def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,
                           seed: int = 0, field=None) -> RigidityReport:
     """Rigidity report for the complex with one facet deleted."""
+    if trials < 1:
+        raise BadParameters("trials must be at least 1")
     rest = remove_facet(K, face)
     if rest is None:
         if field is None:

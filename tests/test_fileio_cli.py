@@ -365,6 +365,61 @@ def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
         assert text.startswith("error: ") and "entry limit" in text
 
 
+def test_cli_psi_refuses_bad_d_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a basis for an out-of-range d")
+
+    monkeypatch.setattr("volrig.shifting.sample_generic_matrix", no_sampling)
+    for d in (1, 0, 501):
+        assert run_command(["psi", "--d", str(d), "--n", "500",
+                            "--trials", "1"]) == (
+            2, "error: need 2 <= d <= n, got d=%d n=500\n" % d)
+
+
+# Each subcommand: an argv it accepts, the global flags it reads, and its
+# own optional arguments.  A global flag outside its row is a usage error.
+GLOBAL_FLAGS = {"--trials": ["3"], "--seed": ["1"], "--prime": ["0"],
+                "--exact": [], "--json": []}
+FLAG_TABLE = {
+    "rank": (["--in", "K.txt"], "--trials --seed --prime --exact --json",
+             "--in"),
+    "rigid": (["--in", "K.txt"], "--trials --seed --prime --exact --json",
+              "--in"),
+    "shift": (["--in", "K.txt"], "--trials --seed --prime --json",
+              "--in --order --level"),
+    "sigma0": (["--in", "K.txt"], "--trials --seed --prime --json", "--in"),
+    "psi": (["--d", "3", "--n", "5"], "--trials --seed --prime --json",
+            "--d --n"),
+    "counterexample": (["--d", "3"], "--trials --seed --prime --json",
+                       "--d --out"),
+    "verify-dataset": ([], "--trials --seed --prime --json",
+                       "--name --dir --expect"),
+    "boundary-id": ([], "--seed --prime --json", "--samples"),
+    "sparsity": (["--in", "K.txt"], "--json", "--in --a --b"),
+    "tight": (["--in", "K.txt"], "--json", "--in --a --b"),
+    "complete-basis": (["--in", "K.txt"], "--json", "--in --a --b --out"),
+    "contract": (["--in", "K.txt"], "--json", "--in --edge --out"),
+    "homology": (["--in", "K.txt"], "--json", "--in --mod2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+def test_cli_subcommand_takes_only_the_flags_it_reads(command):
+    base, reads, own = FLAG_TABLE[command]
+    reads = reads.split()
+    code, text = run_command([command, "--help"])
+    assert code == 0
+    usage = text.split("\n\n")[0]
+    flags = {tok.strip("[]") for tok in usage.split()
+             if tok.strip("[]").startswith("-")}
+    assert flags == {"-h", *reads, *own.split()}
+    for flag, value in GLOBAL_FLAGS.items():
+        if flag not in reads:
+            code, text = run_command([command] + base + [flag] + value)
+            assert code == 2, (command, flag)
+            assert "unrecognized arguments: %s" % flag in text
+
+
 def simplex_boundary(tmp_path, n):
     """File of the boundary of the (n-1)-simplex: n facets of size n - 1."""
     path = os.path.join(tmp_path, "simplex%d.txt" % (n - 1))

@@ -10,7 +10,8 @@ import pytest
 from helpers import tetra
 from volrig import build_complex
 from volrig.complexes import complete_complex
-from volrig.cycles import boundary_matrix, boundary_operator
+from volrig.cycles import (boundary_matrix, boundary_operator,
+                           remove_facet_rigidity)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            MissingVertexCoordinates, MixedDimension,
                            VertexOutOfRange)
@@ -102,6 +103,10 @@ CHECKS = [
      BadParameters),
     ("boundary_matrix d<2",
      lambda: boundary_matrix(build_complex(3, [(1,), (2,)])),
+     BadParameters),
+    ("remove_facet_rigidity trials<1 on the only facet",
+     lambda: remove_facet_rigidity(build_complex(3, [(1, 2, 3)]), (1, 2, 3),
+                                   trials=0),
      BadParameters),
     # linalg
     ("PrimeField(1)", lambda: PrimeField(1), BadParameters),
