@@ -68,16 +68,14 @@ def _exact_rank_line(K, args, lines, obj):
     return r
 
 
-def _cmd_rank(args, field):
+def _cmd_rank(args, field, K):
     """rank, and rigid, whose verdict an --exact rank can lift to RIGID."""
-    K = read_complex(args.infile)
     rep = generic_rank(K, trials=args.trials, seed=args.seed, field=field)
     lines = ["n %d d %d facets %d" % (K.n, K.d, K.num_facets),
              "trial-ranks %s" % ",".join(str(r) for r in rep.trial_ranks),
              "rank %d target %d %s" % (rep.generic_rank, rep.target_rank,
                                        _suffix(rep.arithmetic, rep.trials))]
     obj = rep._asdict()
-    obj["command"] = args.command
     exact = _exact_rank_line(K, args, lines, obj)
     if args.command == "rank":
         return 0, lines, obj
@@ -88,8 +86,7 @@ def _cmd_rank(args, field):
     return (0 if rigid else 1), lines, obj
 
 
-def _cmd_shift(args, field):
-    K = read_complex(args.infile)
+def _cmd_shift(args, field, K):
     level = args.level if args.level is not None else K.d
     faces = shifted_level_stable(K, level, order=args.order,
                                  trials=args.trials, seed=args.seed,
@@ -98,26 +95,22 @@ def _cmd_shift(args, field):
              % (level, args.order, len(faces),
                 _suffix(field.describe(), args.trials))]
     lines.extend(_face_str(f) for f in faces)
-    obj = {"command": "shift", "level": level, "order": args.order,
-           "count": len(faces), "faces": [list(f) for f in faces],
-           "trials": args.trials, "seed": args.seed,
-           "arithmetic": field.describe()}
+    obj = {"level": level, "order": args.order, "count": len(faces),
+           "faces": [list(f) for f in faces]}
     return 0, lines, obj
 
 
-def _cmd_sigma0(args, field):
-    K = read_complex(args.infile)
+def _cmd_sigma0(args, field, K):
     rep = characteristic_membership(K, trials=args.trials, seed=args.seed,
                                     field=field)
     lines = ["face %s" % _face_str(rep.face),
              "MEMBER %s %s" % ("yes" if rep.member else "no",
                                _suffix(rep.arithmetic, rep.trials))]
     obj = rep._asdict()
-    obj["command"] = "sigma0"
     return (0 if rep.member else 1), lines, obj
 
 
-def _cmd_psi(args, field):
+def _cmd_psi(args, field, _):
     if args.trials < 1:
         raise BadParameters("trials must be at least 1")
     if not 2 <= args.d <= args.n:
@@ -135,10 +128,8 @@ def _cmd_psi(args, field):
     lines = ["d %d n %d rows %d cols %d" % (args.d, args.n, rows, cols),
              "rank %d kernel %d %s" % (best, kernel,
                                        _suffix(field.describe(), args.trials))]
-    obj = {"command": "psi", "d": args.d, "n": args.n, "rows": rows,
-           "cols": cols, "rank": best, "kernel": kernel,
-           "trials": args.trials, "seed": args.seed,
-           "arithmetic": field.describe()}
+    obj = {"d": args.d, "n": args.n, "rows": rows, "cols": cols,
+           "rank": best, "kernel": kernel}
     return 0, lines, obj
 
 
@@ -150,48 +141,44 @@ def _params_for(args, K) -> SparsityParams:
     return SparsityParams(a=args.a, b=args.b, d=K.d)
 
 
-def _cmd_sparsity(args, field):
-    K = read_complex(args.infile)
+def _cmd_sparsity(args, field, K):
     params = _params_for(args, K)
     ok, witness = is_sparse(K, params)
     lines = ["params a %d b %d d %d" % (params.a, params.b, params.d),
              "SPARSE %s %s" % ("yes" if ok else "no", _suffix("exact"))]
     if witness is not None:
         lines.append("witness %s" % _face_str(witness))
-    obj = {"command": "sparsity", "a": params.a, "b": params.b, "d": params.d,
+    obj = {"a": params.a, "b": params.b, "d": params.d,
            "sparse": ok, "witness": list(witness) if witness else None,
            "arithmetic": "exact"}
     return (0 if ok else 1), lines, obj
 
 
-def _cmd_tight(args, field):
-    K = read_complex(args.infile)
+def _cmd_tight(args, field, K):
     params = _params_for(args, K)
     tight = is_tight(K, params)
     lines = ["params a %d b %d d %d" % (params.a, params.b, params.d),
              "facets %d bound %d" % (K.num_facets, params.bound(K.n)),
              "TIGHT %s %s" % ("yes" if tight else "no", _suffix("exact"))]
-    obj = {"command": "tight", "a": params.a, "b": params.b, "d": params.d,
+    obj = {"a": params.a, "b": params.b, "d": params.d,
            "facets": K.num_facets, "bound": params.bound(K.n),
            "tight": tight, "arithmetic": "exact"}
     return (0 if tight else 1), lines, obj
 
 
-def _cmd_complete_basis(args, field):
-    K = read_complex(args.infile)
+def _cmd_complete_basis(args, field, K):
     params = _params_for(args, K)
     result = complete_to_sparse_basis(K, params)
     added = result.num_facets - K.num_facets
     lines = ["params a %d b %d d %d" % (params.a, params.b, params.d),
              "added %d" % added,
              "n %d d %d facets %d" % (result.n, result.d, result.num_facets)]
-    obj = {"command": "complete-basis", "a": params.a, "b": params.b,
-           "d": params.d, "added": added}
+    obj = {"a": params.a, "b": params.b, "d": params.d, "added": added}
     _payload(args, result, lines, obj)
     return 0, lines, obj
 
 
-def _cmd_counterexample(args, field):
+def _cmd_counterexample(args, field, _):
     K = build_counterexample(args.d)
     params = SparsityParams.volume_regime(args.d)
     tight = is_tight(K, params)
@@ -204,19 +191,15 @@ def _cmd_counterexample(args, field):
                               _suffix(rep.arithmetic, rep.trials)),
              "SIGMA0 %s %s" % ("yes" if mem.member else "no",
                                _suffix(mem.arithmetic, mem.trials))]
-    obj = {"command": "counterexample", "n": K.n, "d": K.d,
-           "num_facets": K.num_facets, "tight": tight,
+    obj = {"n": K.n, "d": K.d, "num_facets": K.num_facets, "tight": tight,
            "is_rigid": rep.is_rigid, "rank": rep.generic_rank,
-           "target": rep.target_rank, "member": mem.member,
-           "trials": args.trials, "seed": args.seed,
-           "arithmetic": rep.arithmetic}
+           "target": rep.target_rank, "member": mem.member}
     _payload(args, K, lines, obj)
     ok = tight and not rep.is_rigid and not mem.member
     return (0 if ok else 1), lines, obj
 
 
-def _cmd_contract(args, field):
-    K = read_complex(args.infile)
+def _cmd_contract(args, field, K):
     if args.edge:
         parts = args.edge.split(",")
         if len(parts) != 2:
@@ -229,21 +212,19 @@ def _cmd_contract(args, field):
         lines = ["contracted %d %d" % (u, w),
                  "n %d d %d facets %d" % (result.n, result.d,
                                           result.num_facets)]
-        obj = {"command": "contract", "edge": [u, w]}
+        obj = {"edge": [u, w]}
     else:
         result, log = contraction_reduce(K)
         lines = ["steps %d" % len(log),
                  "log %s" % ";".join("%d,%d" % e for e in log),
                  "n %d d %d facets %d" % (result.n, result.d,
                                           result.num_facets)]
-        obj = {"command": "contract", "steps": len(log),
-               "log": [list(e) for e in log]}
+        obj = {"steps": len(log), "log": [list(e) for e in log]}
     _payload(args, result, lines, obj)
     return 0, lines, obj
 
 
-def _cmd_homology(args, field):
-    K = read_complex(args.infile)
+def _cmd_homology(args, field, K):
     coeff = GF2 if args.mod2 else QQ
     space = cycle_space(K, coeff)
     minimal = spans_minimal_cycle(space)
@@ -251,24 +232,21 @@ def _cmd_homology(args, field):
     lines = ["cycle-dim %d %s" % (space.ncols, _suffix(arith)),
              "MINIMAL-CYCLE %s %s" % ("yes" if minimal else "no",
                                       _suffix(arith))]
-    obj = {"command": "homology", "cycle_dim": space.ncols,
-           "minimal": minimal, "arithmetic": arith}
+    obj = {"cycle_dim": space.ncols, "minimal": minimal, "arithmetic": arith}
     return 0, lines, obj
 
 
-def _cmd_boundary_id(args, field):
+def _cmd_boundary_id(args, field, _):
     failures = random_identity_sweep(args.samples, seed=args.seed,
                                      field=field)
     lines = ["samples %d failures %d" % (args.samples, failures),
              "IDENTITY %s %s" % ("yes" if failures == 0 else "no",
                                  _suffix(field.describe(), args.samples))]
-    obj = {"command": "boundary-id", "samples": args.samples,
-           "failures": failures, "seed": args.seed,
-           "arithmetic": field.describe()}
+    obj = {"samples": args.samples, "failures": failures}
     return (0 if failures == 0 else 1), lines, obj
 
 
-def _cmd_verify_dataset(args, field):
+def _cmd_verify_dataset(args, field, _):
     root = args.dir or dataset_root()
     if root is None:
         raise VolrigError("no dataset directory: set VOLRIG_DATA or pass --dir")
@@ -293,7 +271,6 @@ def _cmd_verify_dataset(args, field):
     lines.append("DATASET %s %s" % ("ok" if ok else "FAIL",
                                     _suffix(rep.arithmetic, rep.trials)))
     obj = rep._asdict()
-    obj["command"] = "verify-dataset"
     obj["ok"] = ok
     return (0 if ok else 1), lines, obj
 
@@ -324,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=parents, **kw)
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     add("rank", _cmd_rank, trials, seeded, exact, infile,
@@ -387,12 +364,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> tuple:
-    """Dispatch argv; returns (exit code, full report text)."""
+    """Dispatch argv; returns (exit code, full report text).  Reads --in
+    for the handler, and writes the keys every report shares: command, and
+    trials, seed and arithmetic where it has --trials, --seed, --prime."""
     parser = build_parser()
     buf = io.StringIO()
     try:
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
-            args = parser.parse_args(argv)
+            # Subparsers hand unknown arguments back to the top parser;
+            # refuse them with the subcommand's usage, which lists its flags.
+            args, extra = parser.parse_known_args(argv)
+            if extra:
+                args.parser.error("unrecognized arguments: %s"
+                                  % " ".join(extra))
     except SystemExit as e:
         code = 0 if e.code in (0, None) else 2
         return code, buf.getvalue()
@@ -403,9 +387,16 @@ def run_command(argv) -> tuple:
                 args.prime, len(PRIME_TABLE) - 1)
         field = PrimeField(PRIME_TABLE[args.prime])
     try:
-        code, lines, obj = args.handler(args, field)
+        K = read_complex(args.infile) if "infile" in args else None
+        code, lines, obj = args.handler(args, field, K)
     except (VolrigError, OSError) as e:
         return 2, "error: %s\n" % e
+    obj["command"] = args.command
+    for key in ("trials", "seed"):
+        if key in args:
+            obj[key] = getattr(args, key)
+    if field is not None:
+        obj["arithmetic"] = field.describe()
     if args.json:
         import json  # only --json reports need it; keeps start-up lean
         return code, json.dumps(obj, sort_keys=True) + "\n"

@@ -63,9 +63,21 @@ def format_complex(K: SimplicialComplex) -> str:
     return "\n".join(out) + "\n"
 
 
+def _ascii_text(path: str) -> str:
+    """The file's text; ParseError at its first byte that is not ASCII."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        # surrogateescape read each byte b past 127 as U+DC00 + b, and
+        # kept the universal-newline line breaks the parser numbers.
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise ParseError("byte 0x%02x is not ASCII" % (ord(text[at]) - 0xdc00),
+                         text.count("\n", 0, at) + 1)
+    return text
+
+
 def read_complex(path: str) -> SimplicialComplex:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_complex(fh.read())
+    return parse_complex(_ascii_text(path))
 
 
 def write_complex(K: SimplicialComplex, path: str) -> None:
@@ -105,6 +117,8 @@ def write_dataset(dirpath: str, complexes, provenance: str) -> None:
     lines = [line.strip() for line in provenance.split("\n") if line.strip()]
     if not all(line.startswith("#") for line in lines):
         raise DatasetError("provenance lines must start with '#'")
+    if not provenance.isascii():
+        raise DatasetError("provenance must be ASCII")
     os.makedirs(dirpath, exist_ok=True)
     for i, K in enumerate(complexes):
         path = os.path.join(dirpath, "c%02d.txt" % i)
@@ -121,8 +135,10 @@ def load_dataset(dirpath: str, name: str | None = None) -> SurfaceDataset:
     manifest_path = os.path.join(dirpath, "manifest.txt")
     if not os.path.isfile(manifest_path):
         raise DatasetError("no manifest.txt in %s" % dirpath)
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        manifest_text = fh.read()
+    try:
+        manifest_text = _ascii_text(manifest_path)
+    except ParseError as e:
+        raise DatasetError("manifest.txt %s" % e) from None
     provenance = "\n".join(line.strip() for line in manifest_text.split("\n")
                            if line.strip().startswith("#"))
     complexes = []

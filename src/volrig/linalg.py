@@ -206,18 +206,13 @@ def _semi_echelon(vectors, dim: int, field) -> list:
 
 def _det_at(data, rows, cols, field):
     """det of the rows of data at the given row and column indices.
-    Sizes 1 to 3 are closed forms read straight from the entries, size 4
-    expands along its first row into them, and other sizes multiply the
-    leads of the gathered rows (_signed_leads)."""
+    Sizes 1 to 3 are closed forms read straight from the entries, and
+    other sizes multiply the leads of the gathered rows (_signed_leads)."""
     size = len(rows)
-    if size > 4 or not size:
+    if size > 3 or not size:
         return _signed_leads(([data[r][c] for c in cols] for r in rows),
                              field)[1]
-    if size == 4:
-        a, rest, cols = data[rows[0]], rows[1:], tuple(cols)
-        x = sum(a[c] * _det_at(data, rest, cols[:j] + cols[j + 1:], field)
-                * (-1) ** j for j, c in enumerate(cols))
-    elif size == 1:
+    if size == 1:
         x = data[rows[0]][cols[0]]
     elif size == 2:
         (a, b), (i, j) = [data[r] for r in rows], cols
@@ -270,7 +265,7 @@ class ExactMatrix:
     Rank, column span, determinant and kernel all insert rows (columns,
     for a span) into semi-echelon form with echelon_insert, in plain
     Python arithmetic (reduced mod q over a prime field, bare Fraction
-    operators over QQ).  Determinants and minors up to 4 x 4 use closed
+    operators over QQ).  Determinants and minors up to 3 x 3 use closed
     forms instead (_det_at), and minor reads minors above 3 x 3 off one
     memoised reduction of their rows.
     """

@@ -24,6 +24,7 @@ from volrig.fileio import (dataset_root, format_complex, load_dataset,
 from volrig.sparsity import bipartite_complete_graph
 
 TETRA_TEXT = "4 3\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
+NON_ASCII_TETRA = "4 3\n# caf\u00e9\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n".encode()
 
 
 def test_parse_complex_basic():
@@ -133,8 +134,13 @@ def test_write_dataset_round_trip(tmp_path):
     ds = load_dataset(root)
     assert ds.complexes == tuple(complexes)
     assert ds.provenance == "# surface: none\n# second line"
-    with pytest.raises(DatasetError):
-        write_dataset(os.path.join(tmp_path, "bad"), [tetra()], "surface")
+    # A provenance that would not load back is refused before any write.
+    for provenance in ("surface", "# caf\u00e9"):
+        with pytest.raises(DatasetError) as err:
+            write_dataset(os.path.join(tmp_path, "bad"), [tetra()],
+                          provenance)
+        assert err.type is DatasetError
+        assert not os.path.exists(os.path.join(tmp_path, "bad"))
 
 
 def test_load_dataset_requires_manifest(tmp_path):
@@ -149,6 +155,38 @@ def test_load_dataset_rejects_missing_file(tmp_path):
     with pytest.raises(DatasetError) as err:
         load_dataset(root)
     assert "missing" in str(err.value)
+
+
+def write_bytes(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+def non_ascii_dataset(root):
+    """A one-complex dataset whose manifest ends in a UTF-8 comment."""
+    make_dataset(root, [tetra()])
+    with open(os.path.join(root, "manifest.txt"), "ab") as fh:
+        fh.write("# caf\u00e9\n".encode())
+    return root
+
+
+def test_undecodable_files_are_input_errors(tmp_path):
+    # The format is ASCII: a byte past 127 is a ParseError in a complex
+    # file and a DatasetError in a manifest, at the line it sits on.
+    for data, line, byte in ((NON_ASCII_TETRA, 2, 0xc3),
+                             (b"4 3\r\n1 2 3\r\n\xff", 3, 0xff)):
+        path = write_bytes(os.path.join(tmp_path, "K.txt"), data)
+        with pytest.raises(ParseError) as err:
+            read_complex(path)
+        assert err.type is ParseError and err.value.line == line
+        assert str(err.value) == "line %d: byte 0x%02x is not ASCII" % (
+            line, byte)
+    root = non_ascii_dataset(os.path.join(tmp_path, "ds"))
+    with pytest.raises(DatasetError) as err:
+        load_dataset(root)
+    assert err.type is DatasetError
+    assert str(err.value) == "manifest.txt line 3: byte 0xc3 is not ASCII"
 
 
 def load_importer():
@@ -417,6 +455,7 @@ def test_cli_subcommand_takes_only_the_flags_it_reads(command):
         if flag not in reads:
             code, text = run_command([command] + base + [flag] + value)
             assert code == 2, (command, flag)
+            assert text.startswith("usage: volrig %s " % command)
             assert "unrecognized arguments: %s" % flag in text
 
 
@@ -644,6 +683,14 @@ def test_cli_error_paths(tmp_path):
     assert "prime index" in text
     code, _ = run_command(["--help"])
     assert code == 0
+    # Exit 1 would read as a negative verdict; a file that is not ASCII is
+    # an input error, reported on one line without a traceback.
+    path = write_bytes(os.path.join(tmp_path, "K.txt"), NON_ASCII_TETRA)
+    assert run_command(["rank", "--in", path]) == (
+        2, "error: line 2: byte 0xc3 is not ASCII\n")
+    root = non_ascii_dataset(os.path.join(tmp_path, "ds"))
+    assert run_command(["verify-dataset", "--dir", root]) == (
+        2, "error: manifest.txt line 3: byte 0xc3 is not ASCII\n")
 
 
 def test_cli_prime_selection(tetra_file):
