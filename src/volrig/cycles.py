@@ -24,9 +24,10 @@ from .errors import BadParameters, ChainOutsideComplex
 from .fileio import SurfaceDataset
 from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
                      default_field)
-from .rigidity import (Placement, RigidityReport, generic_rank,
-                       random_placement, rigidity_matrix, target_rank)
-from .shifting import _membership
+from .rigidity import (Placement, RigidityReport, _rank_until_rigid,
+                       generic_rank, random_placement, rigidity_matrix,
+                       target_rank)
+from .shifting import _is_member
 
 GF2 = PrimeField(2)
 
@@ -317,17 +318,23 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
     Irreducibility here means only that no admissible contraction
     exists; no homeomorphism typing is attempted.  Complexes on equal
     vertex counts share their shifting bases, which depend only on n.
+    trials means "up to trials" for a rigid complex and a member: each
+    test stops at the first placement or basis that gives an exact
+    certificate (_rank_until_rigid, _is_member).  A flexible complex or
+    a non-member runs every trial and keeps the bound of all of them.
     """
+    if trials < 1:
+        raise BadParameters("trials must be at least 1")
     entries = []
     bases = {}
     rigid = member = irreducible = 0
     arithmetic = None
     for idx, K in enumerate(ds.complexes):
-        rep = generic_rank(K, trials=trials, seed=seed, field=field)
+        rep = _rank_until_rigid(K, trials, seed, field)
         arithmetic = rep.arithmetic
         mem = None
         if K.d >= 3 and K.n >= K.d + 1:
-            mem = _membership(K, trials, seed, field, bases).member
+            mem = _is_member(K, trials, seed, field, bases)
         fixed = _admissible_edge(K) is None
         entries.append({
             "index": idx, "n": K.n, "d": K.d, "facets": K.num_facets,

@@ -289,34 +289,6 @@ class ExactMatrix:
         z = field.zero
         return cls([[z] * ncols for _ in range(nrows)], field, _trusted=True)
 
-    @classmethod
-    def identity(cls, n, field):
-        m = cls.zeros(n, n, field)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
-
-    @classmethod
-    def column(cls, entries, field):
-        return cls([[x] for x in entries], field)
-
-    def transpose(self) -> "ExactMatrix":
-        data = [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return ExactMatrix(data, self.field, _trusted=True)
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if other.nrows != self.nrows or other.field != self.field:
-            raise DimensionMismatch("hstack needs matching row counts and fields")
-        data = [self.data[i] + other.data[i] for i in range(self.nrows)]
-        return ExactMatrix(data, self.field, _trusted=True)
-
-    def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
-        data = [[self.data[i][j] for j in col_idx] for i in row_idx]
-        return ExactMatrix(data, self.field, _trusted=True)
-
-    def col(self, j):
-        return [self.data[i][j] for i in range(self.nrows)]
-
     def _reduce(self, x):
         q = self.field.q
         return x % q if q else x
@@ -329,13 +301,6 @@ class ExactMatrix:
             raise DimensionMismatch("vector length %d, matrix has %d columns"
                                     % (len(vec), self.ncols))
         return [self._dot(row, vec) for row in self.data]
-
-    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows or self.field != other.field:
-            raise DimensionMismatch("matmul shape mismatch")
-        cols = other.transpose().data
-        data = [[self._dot(row, colv) for colv in cols] for row in self.data]
-        return ExactMatrix(data, self.field, _trusted=True)
 
     def rank(self) -> int:
         return len(_semi_echelon(self.data, self.ncols, self.field))
@@ -361,10 +326,6 @@ class ExactMatrix:
                  else f.one if i == fc else f.zero for fc in free]
                 for i in range(n)]
         return ExactMatrix(data, f, _trusted=True)
-
-    def left_kernel_basis(self) -> "ExactMatrix":
-        """Basis of {y : y M = 0}, one basis vector per row."""
-        return self.transpose().right_kernel().transpose()
 
     def det(self, rows=None, cols=None):
         """Determinant, or the minor at the given 0-based row and column
@@ -418,12 +379,6 @@ class ExactMatrix:
             if (sum(out) + sum(miss)) % 2:
                 lead = f.neg(lead)
         return lead
-
-    def cofactor(self, i: int, j: int):
-        """Signed minor (-1)^(i+j) det(M without row i, column j); 0-based."""
-        minor = self.det([r for r in range(self.nrows) if r != i],
-                         [c for c in range(self.ncols) if c != j])
-        return self._reduce(-minor) if (i + j) % 2 else minor
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and other.field == self.field

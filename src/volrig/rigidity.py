@@ -238,7 +238,32 @@ def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
 
 def is_volume_rigid(K: SimplicialComplex, trials: int = 3, seed: int = 0,
                     field=None) -> bool:
-    return generic_rank(K, trials=trials, seed=seed, field=field).is_rigid
+    """Whether K is volume rigid, from up to trials placements: a yes
+    stops at the first placement that certifies it (_rank_until_rigid),
+    a no runs all of them and carries generic_rank's bound."""
+    return _rank_until_rigid(K, trials, seed, field).is_rigid
+
+
+def _rank_until_rigid(K: SimplicialComplex, trials: int, seed: int,
+                      field) -> RigidityReport:
+    """generic_rank over the placements of generic_rank(K, trials, seed,
+    field), one at a time, stopping at the first that reaches the target
+    rank; the one-placement report with the best rank.
+
+    Such a rank is exact: the minor that is nonzero mod p at the
+    placement is a nonzero integer polynomial in the coordinates, so the
+    generic rank is at least as large, and no rank exceeds the target.
+    A complex that never reaches it runs every trial, and the best rank
+    is generic_rank's.
+    """
+    if trials < 1:
+        raise BadParameters("trials must be at least 1")
+    reps = []
+    for t in range(trials):
+        reps.append(generic_rank(K, trials=1, seed=seed + t, field=field))
+        if reps[-1].is_rigid:
+            break
+    return max(reps, key=lambda rep: rep.generic_rank)
 
 
 def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,

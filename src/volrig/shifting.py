@@ -354,7 +354,49 @@ def _membership(K: SimplicialComplex, trials: int, seed: int, field,
     """characteristic_membership with the bases generic_basis(n, seed + t)
     for t < trials kept in bases under n: drawn on first use, reused by
     later complexes on n vertices that the caller checks with the same
-    trials, seed and field."""
+    seed and field.  Every trial runs, as per_trial reports each vote;
+    _is_member stops at a certificate instead."""
+    face, field = _characteristic_setup(K, trials, field)
+    votes = tuple(
+        in_shifted_family(K, face, _basis(K.n, t, seed, field, bases))
+        for t in range(trials))
+    return MembershipReport(
+        n=K.n, d=K.d, face=face,
+        member=_best_ranks_verdict(K, face, bases[K.n][:trials], votes),
+        trials=trials, seed=seed, per_trial=votes,
+        arithmetic=field.describe())
+
+
+def _is_member(K: SimplicialComplex, trials: int, seed: int, field,
+               bases: dict) -> bool:
+    """_membership(K, trials, seed, field, bases).member, settled by
+    basis 0 alone when its yes vote is a certificate, so trials means
+    "up to trials" for a member.
+
+    A yes vote is one when the predecessor span of that basis has full
+    column rank c: no basis gives the predecessors a rank above c, and
+    this one gives rank c + 1 with the face, so _membership's best-rank
+    rule finds a member whatever the other bases vote.  For a rigid
+    complex the face's whole down-set is in the shifted family, so the
+    first basis certifies.  Otherwise the remaining bases vote and the
+    rule of _membership decides, over the same bases.
+    """
+    face, field = _characteristic_setup(K, trials, field)
+    first = _basis(K.n, 0, seed, field, bases)
+    vote = in_shifted_family(K, face, first)
+    if vote:
+        span = _predecessor_span(K, face, first, "p")
+        if span.rank() == span.ncols:
+            return True
+    votes = (vote,) + tuple(
+        in_shifted_family(K, face, _basis(K.n, t, seed, field, bases))
+        for t in range(1, trials))
+    return _best_ranks_verdict(K, face, bases[K.n][:trials], votes)
+
+
+def _characteristic_setup(K: SimplicialComplex, trials: int, field):
+    """The characteristic face of K and the field, after the checks every
+    membership test makes before drawing a basis."""
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     if field is None:
@@ -362,21 +404,29 @@ def _membership(K: SimplicialComplex, trials: int, seed: int, field,
     face = characteristic_face(K.d, K.n)
     check_dense_size(K.num_facets, (K.n - K.d) * (K.d - 1),
                      "membership span matrix")
-    drawn = bases.get(K.n)
-    if drawn is None:
-        drawn = bases[K.n] = [generic_basis(K.n, seed + t, field=field)
-                              for t in range(trials)]
-    votes = tuple(in_shifted_family(K, face, b) for b in drawn)
+    return face, field
+
+
+def _basis(n: int, t: int, seed: int, field, bases: dict) -> GenericBasis:
+    """generic_basis(n, seed + t), drawn on first use into the list that
+    bases keeps under n, with every earlier trial's basis before it."""
+    drawn = bases.setdefault(n, [])
+    while len(drawn) <= t:
+        drawn.append(generic_basis(n, seed + len(drawn), field=field))
+    return drawn[t]
+
+
+def _best_ranks_verdict(K: SimplicialComplex, face, drawn: list,
+                        votes: tuple) -> bool:
+    """max rank(preds + face) > max rank(preds) over the drawn bases,
+    given each basis's vote."""
     member = all(votes)
     if any(votes) and not member:
         ranks = [_predecessor_span(K, face, b, "p").rank() for b in drawn]
         # The best rank with the face exceeds the best without it exactly
         # when a basis voting yes reaches the best predecessor rank.
         member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)
-    return MembershipReport(
-        n=K.n, d=K.d, face=face, member=member,
-        trials=trials, seed=seed, per_trial=votes,
-        arithmetic=field.describe())
+    return member
 
 
 def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:

@@ -1,10 +1,12 @@
-"""Shared fixtures: small named complexes and random generators."""
+"""Shared fixtures: small named complexes, random generators, and the
+matrix operations only tests use."""
 
 import random
 from itertools import combinations
 
 from volrig import build_complex, cone, relabel
 from volrig.fileio import write_dataset
+from volrig.linalg import ExactMatrix
 from volrig.shifting import componentwise_leq
 from volrig.sparsity import bipartite_complete_graph
 
@@ -111,3 +113,51 @@ def make_dataset(dirpath, complexes):
 
 def fresh_rng(seed):
     return random.Random(seed)
+
+
+def identity(n, field):
+    m = ExactMatrix.zeros(n, n, field)
+    for i in range(n):
+        m.data[i][i] = field.one
+    return m
+
+
+def column(entries, field):
+    return ExactMatrix([[x] for x in entries], field)
+
+
+def transpose(m):
+    return ExactMatrix([list(c) for c in zip(*m.data)], m.field,
+                       _trusted=True)
+
+
+def hstack(a, b):
+    return ExactMatrix([x + y for x, y in zip(a.data, b.data)], a.field,
+                       _trusted=True)
+
+
+def submatrix(m, rows, cols):
+    return ExactMatrix([[m.data[i][j] for j in cols] for i in rows],
+                       m.field, _trusted=True)
+
+
+def col(m, j):
+    return [row[j] for row in m.data]
+
+
+def matmul(a, b):
+    cols = transpose(b).data
+    return ExactMatrix([[a._dot(row, c) for c in cols] for row in a.data],
+                       a.field, _trusted=True)
+
+
+def left_kernel_basis(m):
+    """Basis of {y : y M = 0}, one basis vector per row."""
+    return transpose(transpose(m).right_kernel())
+
+
+def cofactor(m, i, j):
+    """Signed minor (-1)^(i+j) det(M without row i, column j); 0-based."""
+    minor = m.det([r for r in range(m.nrows) if r != i],
+                  [c for c in range(m.ncols) if c != j])
+    return m.field.neg(minor) if (i + j) % 2 else minor

@@ -11,8 +11,8 @@ from itertools import combinations
 
 import pytest
 
-from helpers import (cone_with_smallest_apex, octahedron, random_complex,
-                     random_shifted_complex, tetra)
+from helpers import (cone_with_smallest_apex, matmul, octahedron,
+                     random_complex, random_shifted_complex, tetra)
 from volrig import (build_complex, cone, contract_edge, is_volume_rigid,
                     k_faces)
 from volrig.cycles import (default_admissible, is_minimal_cycle,
@@ -60,7 +60,7 @@ def test_accept_02_trivial_motions():
         if motions.nrows != d * d - d - 1 or motions.rank() != motions.nrows:
             ok = False
             break
-        product = motions.matmul(rigidity_matrix(K, p))
+        product = matmul(motions, rigidity_matrix(K, p))
         if any(x != 0 for row in product.data for x in row):
             ok = False
             break

@@ -80,6 +80,8 @@ COMMANDS = [
     "sparsity --in octa.txt --a 1 --b 5 --json",
     "tight --in flex.txt --a 1 --b 4",
     "complete-basis --in octa.txt --a 1 --b 3",
+    "verify-dataset --dir mixed",
+    "verify-dataset --dir mixed --trials 5 --seed 3 --prime 2 --json",
 ]
 
 
@@ -102,6 +104,11 @@ def write_inputs(root):
     make_dataset(os.path.join(root, "repeats"),
                  [octahedron(), tetra(), projective_plane_six(),
                   stacked_sphere(fresh_rng(4), 3, 6), csaszar_torus()])
+    # Flexible and random entries run every trial: neither certifies.
+    make_dataset(os.path.join(root, "mixed"),
+                 [cone(bipartite_complete_graph()),
+                  random_complex(fresh_rng(5), 7, 3, 14), tetra(),
+                  csaszar_torus()])
 
 
 def report_digest(command):

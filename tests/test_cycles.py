@@ -5,11 +5,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from helpers import (csaszar_torus, fresh_rng, octahedron,
+from helpers import (csaszar_torus, fresh_rng, matmul, octahedron,
                      projective_plane_six, random_complex, single_triangle,
                      stack, stacked_sphere, tetra)
 from volrig import (build_complex, contract_edge, cycles, facets_containing,
-                    is_volume_rigid, k_faces, shifting, union_complex)
+                    is_volume_rigid, k_faces, rigidity, shifting,
+                    union_complex)
 from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            boundary_operator, chain_boundary, chain_vector,
                            contraction_reduce, cycle_space,
@@ -18,7 +19,7 @@ from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            rigidity_boundary_identity, sample_chain,
                            surface_link_condition, verify_dataset)
 from volrig.errors import BadParameters, ChainOutsideComplex, InvalidFace
-from volrig.linalg import QQ, default_field
+from volrig.linalg import QQ, PrimeField, default_field
 from volrig.rigidity import Placement, generic_rank, random_placement
 from volrig.shifting import characteristic_membership
 from volrig.sparsity import build_counterexample
@@ -26,7 +27,7 @@ from volrig.sparsity import build_counterexample
 
 def test_boundary_of_boundary_vanishes():
     K = tetra()
-    composed = boundary_operator(K, 2).matmul(boundary_operator(K, 3))
+    composed = matmul(boundary_operator(K, 2), boundary_operator(K, 3))
     assert all(x == 0 for row in composed.data for x in row)
 
 
@@ -407,9 +408,74 @@ def test_verify_dataset_shares_bases_by_vertex_count(monkeypatch):
 
     monkeypatch.setattr(shifting, "generic_basis", counting)
     rep = verify_dataset(ds, trials=2, seed=4)
-    assert sorted(drawn) == [(n, 4 + t) for n in (4, 6, 7) for t in (0, 1)]
+    # Each basis is drawn once, on first use; only the flexible
+    # counterexample (n = 7) needs the second.
+    assert drawn == [(6, 4), (4, 4), (7, 4), (7, 5)]
     monkeypatch.undo()
     members = [e["member"] for e in rep.entries]
     assert members == [characteristic_membership(K, 2, 4).member
                        for K in complexes]
     assert False in members
+
+
+def test_verify_dataset_equals_the_all_trials_reference():
+    # Stopping at a certificate changes no entry: each equals the
+    # verdicts of generic_rank and characteristic_membership over all
+    # trials.  Small fields make single trials miss, so every fallback
+    # runs: a rigid complex whose first placement misses the target, a
+    # member whose first basis votes no, and a non-member whose first
+    # basis votes yes (a bare yes vote is no certificate).
+    rng = fresh_rng(82)
+    late_rigid = late_member = refuted_yes = 0
+    for q in (5, 7, 13):
+        field = PrimeField(q)
+        for d in (3, 4):
+            for trials in (1, 2, 3):
+                seed = rng.randrange(1000)
+                complexes = tuple(random_complex(rng, rng.randint(d + 1, 7),
+                                                 d) for _ in range(6))
+                rep = verify_dataset(SurfaceDataset("r", d, complexes, ""),
+                                     trials, seed, field)
+                for K, e in zip(complexes, rep.entries):
+                    full = generic_rank(K, trials, seed, field)
+                    mem = characteristic_membership(K, trials, seed, field)
+                    assert (e["rank"], e["target"], e["rigid"],
+                            e["member"]) == (full.generic_rank,
+                                             full.target_rank,
+                                             full.is_rigid, mem.member)
+                    late_rigid += (full.is_rigid and full.trial_ranks[0]
+                                   < full.target_rank)
+                    late_member += mem.member and not mem.per_trial[0]
+                    refuted_yes += mem.per_trial[0] and not mem.member
+                assert rep.rigid_count == sum(e["rigid"]
+                                              for e in rep.entries)
+                assert rep.member_count == sum(bool(e["member"])
+                                               for e in rep.entries)
+    assert late_rigid and late_member and refuted_yes
+
+
+def test_verify_dataset_stops_at_the_first_certificate(monkeypatch):
+    # A rigid stacked torus costs one placement and one basis vote; the
+    # flexible counterexample costs every trial of each.
+    calls = {"assemble": 0, "vote": 0}
+    assemble = rigidity.rigidity_matrix
+    vote = shifting.in_shifted_family
+
+    def counted_assemble(K, p):
+        calls["assemble"] += 1
+        return assemble(K, p)
+
+    def counted_vote(K, sigma, basis, order="p"):
+        calls["vote"] += 1
+        return vote(K, sigma, basis, order)
+
+    monkeypatch.setattr(rigidity, "rigidity_matrix", counted_assemble)
+    monkeypatch.setattr(shifting, "in_shifted_family", counted_vote)
+    rng = fresh_rng(47)
+    tori = tuple(stack(rng, csaszar_torus(), k) for k in (1, 3, 3, 5))
+    for complexes, rigid, cost in ((tori, len(tori), len(tori)),
+                                   ((build_counterexample(3),), 0, 4)):
+        calls.update(assemble=0, vote=0)
+        rep = verify_dataset(SurfaceDataset("s", 3, complexes, ""), trials=4)
+        assert rep.rigid_count == rep.member_count == rigid
+        assert calls == {"assemble": cost, "vote": cost}

