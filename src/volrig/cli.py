@@ -179,6 +179,11 @@ def _cmd_complete_basis(args, field, K):
 
 
 def _cmd_counterexample(args, field, _):
+    # Checked before building: the construction's rigidity matrix
+    # (n = d + 4, f = 4d - 3) passes the limit from d = 39 on, and the
+    # completion itself gets slow as d grows.  No d < 3 reaches the limit.
+    check_dense_size((args.d - 1) * (args.d + 4), 4 * args.d - 3,
+                     "rigidity matrix")
     K = build_counterexample(args.d)
     params = SparsityParams.volume_regime(args.d)
     tight = is_tight(K, params)

@@ -25,8 +25,8 @@ from .fileio import SurfaceDataset
 from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
                      default_field)
 from .rigidity import (Placement, RigidityReport, _rank_until_rigid,
-                       generic_rank, random_placement, rigidity_matrix,
-                       target_rank)
+                       _report, generic_rank, random_placement,
+                       rigidity_matrix)
 from .shifting import _is_member
 
 GF2 = PrimeField(2)
@@ -143,13 +143,7 @@ def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,
         raise BadParameters("trials must be at least 1")
     rest = remove_facet(K, face)
     if rest is None:
-        if field is None:
-            field = default_field()
-        tgt = target_rank(K.n, K.d, 0)
-        return RigidityReport(
-            n=K.n, d=K.d, num_facets=0, generic_rank=0, target_rank=tgt,
-            is_rigid=(tgt == 0), corank=tgt, trials=trials, seed=seed,
-            trial_ranks=(0,) * trials, arithmetic=field.describe())
+        return _report(K.n, K.d, 0, trials, seed, (0,) * trials, field)
     return generic_rank(rest, trials=trials, seed=seed, field=field)
 
 

@@ -70,15 +70,9 @@ class GenericityFailure(VolrigError):
 
 
 class InstanceTooLarge(VolrigError):
-    """An instance exceeds a size cap: a sparsity completion whose
-    a n - b facets exceed the dense-entry limit, or a dense matrix above
-    that limit (the rigidity matrix of generic_rank, columns_independent
-    and rational_rank, the generic basis of shifting, the shifting
-    matrix of a level, the membership span matrix of the characteristic
-    face, the predecessor span matrix of in_shifted_family, the wedge
-    map matrix with or without given faces and the boundary matrix), or
-    the f_{k-1} memoised k x n reductions behind size-k compound
-    coordinates, k >= 4."""
+    """An instance exceeds a size cap: linalg.check_dense_size refuses
+    it, and the comment on linalg.MAX_DENSE_ENTRIES lists what it
+    guards."""
 
 
 class NotSparse(VolrigError):

@@ -25,8 +25,9 @@ PRIME_TABLE = (
 DEFAULT_PRIME = PRIME_TABLE[0]
 
 # Largest dense matrix, in entries, that the package will build: the
-# rigidity matrix (for generic ranks, independent facet columns and the
-# rational rank alike), the n x n generic basis of shifting, the
+# rigidity matrix (for generic ranks, independent facet columns, the
+# rational rank and the CLI's counterexample, before it is built), the
+# n x n generic basis of shifting, the
 # f_{k-1} x C(n,k) shifting matrix of level k, the f x (n-d)(d-1)
 # membership span matrix of the characteristic face, the predecessor
 # span matrix of any set (checked from the count of predecessors, before

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .complexes import SimplicialComplex, as_face
+from .complexes import SimplicialComplex, as_face, build_complex
 from .errors import (BadParameters, DimensionMismatch,
                      MissingVertexCoordinates, VertexOutOfRange)
 from .linalg import (QQ, ExactMatrix, check_dense_size, default_field,
@@ -199,16 +199,22 @@ def target_rank(n: int, d: int, num_facets: int) -> int:
     return t
 
 
-def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
-                 field=None) -> RigidityReport:
-    """Max rank of the rigidity matrix over seeded random placements.
+def _report(n: int, d: int, num_facets: int, trials: int, seed: int, ranks,
+            field) -> RigidityReport:
+    """The RigidityReport of the placements seed + t with the given ranks,
+    t < len(ranks): the best of them estimates the generic rank."""
+    best, tgt = max(ranks), target_rank(n, d, num_facets)
+    return RigidityReport(
+        n=n, d=d, num_facets=num_facets, generic_rank=best,
+        target_rank=tgt, is_rigid=(best == tgt), corank=tgt - best,
+        trials=trials, seed=seed, trial_ranks=tuple(ranks),
+        arithmetic=(default_field() if field is None else field).describe())
 
-    A special placement can only lower the rank, so the max over trials
-    can only underestimate the generic rank.  Each matrix entry is a
-    cofactor of degree d-2 in the coordinates, so a rank-r minor has
-    degree at most r(d-2); by Schwartz-Zippel one trial misses rank r
-    with probability at most r(d-2)/q, and all t independent trials miss
-    with probability at most (r(d-2)/q)^t.
+
+def _placement_ranks(K: SimplicialComplex, trials: int, seed: int, field,
+                     stop_rank) -> RigidityReport:
+    """Ranks of the rigidity matrix at the placements seed + t, t < trials,
+    stopping after the first rank equal to stop_rank (None: never).
 
     Each rank eliminates the transpose of the rigidity matrix with
     vertices in greedy minimum-degree order (_min_degree_order, computed
@@ -226,44 +232,48 @@ def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
     for t in range(trials):
         p = random_placement(K.n, K.d, seed + t, field=field)
         ranks.append(_ordered_rank(rigidity_matrix(K, p), K.facets, order))
-    best = max(ranks)
-    tgt = target_rank(K.n, K.d, K.num_facets)
-    return RigidityReport(
-        n=K.n, d=K.d, num_facets=K.num_facets,
-        generic_rank=best, target_rank=tgt,
-        is_rigid=(best == tgt), corank=tgt - best,
-        trials=trials, seed=seed, trial_ranks=tuple(ranks),
-        arithmetic=field.describe())
+        if ranks[-1] == stop_rank:
+            break
+    return _report(K.n, K.d, K.num_facets, trials, seed, ranks, field)
+
+
+def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
+                 field=None) -> RigidityReport:
+    """Max rank of the rigidity matrix over seeded random placements.
+
+    A special placement can only lower the rank, so the max over trials
+    can only underestimate the generic rank.  Each matrix entry is a
+    cofactor of degree d-2 in the coordinates, so a rank-r minor has
+    degree at most r(d-2); by Schwartz-Zippel one trial misses rank r
+    with probability at most r(d-2)/q, and all t independent trials miss
+    with probability at most (r(d-2)/q)^t.  Every trial runs.
+    """
+    return _placement_ranks(K, trials, seed, field, None)
 
 
 def is_volume_rigid(K: SimplicialComplex, trials: int = 3, seed: int = 0,
                     field=None) -> bool:
     """Whether K is volume rigid, from up to trials placements: a yes
-    stops at the first placement that certifies it (_rank_until_rigid),
-    a no runs all of them and carries generic_rank's bound."""
+    stops at the first placement that reaches the target rank
+    (_rank_until_rigid), a no ranks all of them and carries
+    generic_rank's bound."""
     return _rank_until_rigid(K, trials, seed, field).is_rigid
 
 
 def _rank_until_rigid(K: SimplicialComplex, trials: int, seed: int,
                       field) -> RigidityReport:
-    """generic_rank over the placements of generic_rank(K, trials, seed,
-    field), one at a time, stopping at the first that reaches the target
-    rank; the one-placement report with the best rank.
+    """generic_rank(K, trials, seed, field), stopping after the first
+    placement that reaches the target rank; trial_ranks holds the ranks
+    of the placements actually ranked.
 
     Such a rank is exact: the minor that is nonzero mod p at the
     placement is a nonzero integer polynomial in the coordinates, so the
     generic rank is at least as large, and no rank exceeds the target.
-    A complex that never reaches it runs every trial, and the best rank
-    is generic_rank's.
+    A complex that never reaches it ranks every placement, and the
+    report is generic_rank's.
     """
-    if trials < 1:
-        raise BadParameters("trials must be at least 1")
-    reps = []
-    for t in range(trials):
-        reps.append(generic_rank(K, trials=1, seed=seed + t, field=field))
-        if reps[-1].is_rigid:
-            break
-    return max(reps, key=lambda rep: rep.generic_rank)
+    return _placement_ranks(K, trials, seed, field,
+                            target_rank(K.n, K.d, K.num_facets))
 
 
 def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
@@ -272,8 +282,9 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
 
     The first argument fixes the vertex count; a complex or a plain n
     both work, since independence only depends on the selected faces.
-    Ranks are taken in the minimum-degree elimination order of
-    generic_rank, which does not change them.
+    The faces are ranked as the complex they form, at the placements of
+    generic_rank, stopping at the first that reaches full rank; a
+    repeated face leaves that complex short of it.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
@@ -287,16 +298,9 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
             raise DimensionMismatch("faces of mixed cardinality")
         if s[-1] > n:
             raise VertexOutOfRange("face %r exceeds n=%d" % (s, n))
-    check_dense_size((d - 1) * n, len(faces), "rigidity matrix")
-    if field is None:
-        field = default_field()
-    order = _min_degree_order(n, faces)
-    for t in range(trials):
-        p = random_placement(n, d, seed + t, field=field)
-        m = _volume_gradient_columns(p, n, faces)
-        if _ordered_rank(m, faces, order) == len(faces):
-            return True
-    return False
+    rep = _placement_ranks(build_complex(n, faces), trials, seed, field,
+                           len(faces))
+    return rep.generic_rank == len(faces)
 
 
 def rational_rank(K: SimplicialComplex, seed: int = 0) -> int:

@@ -37,11 +37,10 @@ class GenericBasis:
     pins down the one non-random basis vector the theory requires.
     """
 
-    __slots__ = ("n", "seed", "matrix", "_minors")
+    __slots__ = ("n", "matrix", "_minors")
 
-    def __init__(self, n: int, seed: int, matrix: ExactMatrix):
+    def __init__(self, n: int, matrix: ExactMatrix):
         self.n = n
-        self.seed = seed
         self.matrix = matrix
         self._minors = {}
 
@@ -67,7 +66,7 @@ def generic_basis(n: int, seed: int = 0, field=None) -> GenericBasis:
         m = sample_generic_matrix(n, n, seed + (attempt << _RESEED_SHIFT),
                                   first_column_ones=True, field=field)
         if m.rank() == n:
-            return GenericBasis(n=n, seed=seed, matrix=m)
+            return GenericBasis(n=n, matrix=m)
     raise SingularBasis("no nonsingular sample in %d attempts (n=%d, seed=%d)"
                         % (_MAX_ATTEMPTS, n, seed))
 
@@ -344,42 +343,36 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
     and per_trial keeps each basis's own vote.  A basis's two ranks
     differ by its vote, so unanimous votes settle the comparison alone;
     mixed votes also need each basis's predecessor rank, taken from the
-    same bases.
+    same bases, generic_basis(n, seed + t) for t < trials.  Every trial
+    runs, as per_trial reports each vote; _is_member stops at a
+    certificate instead.
     """
-    return _membership(K, trials, seed, field, {})
-
-
-def _membership(K: SimplicialComplex, trials: int, seed: int, field,
-                bases: dict) -> MembershipReport:
-    """characteristic_membership with the bases generic_basis(n, seed + t)
-    for t < trials kept in bases under n: drawn on first use, reused by
-    later complexes on n vertices that the caller checks with the same
-    seed and field.  Every trial runs, as per_trial reports each vote;
-    _is_member stops at a certificate instead."""
     face, field = _characteristic_setup(K, trials, field)
+    bases = {}
     votes = tuple(
         in_shifted_family(K, face, _basis(K.n, t, seed, field, bases))
         for t in range(trials))
     return MembershipReport(
         n=K.n, d=K.d, face=face,
-        member=_best_ranks_verdict(K, face, bases[K.n][:trials], votes),
+        member=_best_ranks_verdict(K, face, bases[K.n], votes),
         trials=trials, seed=seed, per_trial=votes,
         arithmetic=field.describe())
 
 
 def _is_member(K: SimplicialComplex, trials: int, seed: int, field,
                bases: dict) -> bool:
-    """_membership(K, trials, seed, field, bases).member, settled by
-    basis 0 alone when its yes vote is a certificate, so trials means
-    "up to trials" for a member.
+    """characteristic_membership(K, trials, seed, field).member, over
+    bases kept in bases under n (_basis) so that complexes on equal
+    vertex counts share them, and settled by basis 0 alone when its yes
+    vote is a certificate, so trials means "up to trials" for a member.
 
     A yes vote is one when the predecessor span of that basis has full
     column rank c: no basis gives the predecessors a rank above c, and
-    this one gives rank c + 1 with the face, so _membership's best-rank
-    rule finds a member whatever the other bases vote.  For a rigid
-    complex the face's whole down-set is in the shifted family, so the
-    first basis certifies.  Otherwise the remaining bases vote and the
-    rule of _membership decides, over the same bases.
+    this one gives rank c + 1 with the face, so the best-rank rule
+    (_best_ranks_verdict) finds a member whatever the other bases vote.
+    For a rigid complex the face's whole down-set is in the shifted
+    family, so the first basis certifies.  Otherwise the remaining bases
+    vote and that rule decides, over the same bases.
     """
     face, field = _characteristic_setup(K, trials, field)
     first = _basis(K.n, 0, seed, field, bases)

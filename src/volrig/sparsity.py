@@ -223,7 +223,9 @@ def bipartite_complete_graph() -> SimplicialComplex:
 
 def build_counterexample(d: int) -> SimplicialComplex:
     """Tight but flexible complex: iterated cone over the 3+3 bipartite
-    graph, completed to a sparsity basis in the volume regime."""
+    graph, completed to a sparsity basis in the volume regime.  It has
+    n = d + 4 vertices and the tight count f = 4d - 3 facets, where the
+    completion stops."""
     if d < 3:
         raise BadParameters("construction needs d >= 3, got %d" % d)
     K = bipartite_complete_graph()

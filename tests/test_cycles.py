@@ -20,7 +20,9 @@ from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            surface_link_condition, verify_dataset)
 from volrig.errors import BadParameters, ChainOutsideComplex, InvalidFace
 from volrig.linalg import QQ, PrimeField, default_field
-from volrig.rigidity import Placement, generic_rank, random_placement
+from volrig.rigidity import (Placement, _rank_until_rigid,
+                             columns_independent, generic_rank,
+                             random_placement)
 from volrig.shifting import characteristic_membership
 from volrig.sparsity import build_counterexample
 
@@ -421,12 +423,15 @@ def test_verify_dataset_shares_bases_by_vertex_count(monkeypatch):
 def test_verify_dataset_equals_the_all_trials_reference():
     # Stopping at a certificate changes no entry: each equals the
     # verdicts of generic_rank and characteristic_membership over all
-    # trials.  Small fields make single trials miss, so every fallback
-    # runs: a rigid complex whose first placement misses the target, a
-    # member whose first basis votes no, and a non-member whose first
+    # trials, and so do is_volume_rigid, _rank_until_rigid (whose ranks
+    # are the first ones of generic_rank's) and columns_independent on
+    # all facets.  Small fields make single trials miss, so every
+    # fallback runs: a rigid complex whose first placement misses the
+    # target, independent facets whose first placement misses full rank,
+    # a member whose first basis votes no, and a non-member whose first
     # basis votes yes (a bare yes vote is no certificate).
     rng = fresh_rng(82)
-    late_rigid = late_member = refuted_yes = 0
+    late_rigid = late_independent = late_member = refuted_yes = 0
     for q in (5, 7, 13):
         field = PrimeField(q)
         for d in (3, 4):
@@ -443,15 +448,26 @@ def test_verify_dataset_equals_the_all_trials_reference():
                             e["member"]) == (full.generic_rank,
                                              full.target_rank,
                                              full.is_rigid, mem.member)
+                    assert is_volume_rigid(K, trials, seed,
+                                           field) == full.is_rigid
+                    ranked = _rank_until_rigid(K, trials, seed, field)
+                    assert ranked.generic_rank == full.generic_rank
+                    assert ranked.trial_ranks == \
+                        full.trial_ranks[:len(ranked.trial_ranks)]
+                    independent = full.generic_rank == K.num_facets
+                    assert columns_independent(K, K.facets, trials, seed,
+                                               field) == independent
                     late_rigid += (full.is_rigid and full.trial_ranks[0]
                                    < full.target_rank)
+                    late_independent += (independent and full.trial_ranks[0]
+                                         < K.num_facets)
                     late_member += mem.member and not mem.per_trial[0]
                     refuted_yes += mem.per_trial[0] and not mem.member
                 assert rep.rigid_count == sum(e["rigid"]
                                               for e in rep.entries)
                 assert rep.member_count == sum(bool(e["member"])
                                                for e in rep.entries)
-    assert late_rigid and late_member and refuted_yes
+    assert late_rigid and late_independent and late_member and refuted_yes
 
 
 def test_verify_dataset_stops_at_the_first_certificate(monkeypatch):

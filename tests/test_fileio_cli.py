@@ -599,6 +599,20 @@ def test_cli_counterexample():
     assert "SIGMA0 no" in text
 
 
+def test_cli_counterexample_refuses_large_d_before_building(monkeypatch):
+    # n = d + 4 and f = 4d - 3 give a rigidity matrix past the entry
+    # limit from d = 39 on, refused without building the complex.
+    def build(d):
+        raise AssertionError("built the counterexample for d=%d" % d)
+
+    monkeypatch.setattr(volrig.cli, "build_counterexample", build)
+    for d in (39, 400):
+        assert run_command(["counterexample", "--d", str(d),
+                            "--trials", "1"]) == (
+            2, "error: rigidity matrix would be %d x %d, above the "
+               "250000-entry limit\n" % ((d - 1) * (d + 4), 4 * d - 3))
+
+
 def test_cli_contract_single_edge(tmp_path):
     path = os.path.join(tmp_path, "octa.txt")
     write_complex(octahedron(), path)

@@ -185,7 +185,10 @@ def test_entry_points_refuse_oversized_rigidity_matrix():
     # the entry limit, as generic_rank already refuses.  Both used to
     # draw a placement and assemble the whole matrix before ranking it.
     K = build_complex(300000, [(1, 2, 3)])
+    # A repeated face is refused too, before its columns are compared.
     for check in (lambda: columns_independent(300000, [(1, 2, 3)], trials=1),
+                  lambda: columns_independent(300000, [(1, 2, 3), (1, 2, 3)],
+                                              trials=1),
                   lambda: rational_rank(K)):
         start = time.monotonic()
         with pytest.raises(InstanceTooLarge, match="rigidity matrix"):

@@ -154,8 +154,8 @@ def test_generic_basis_shape():
 
 
 def test_generic_basis_redraws_singular_samples(monkeypatch):
-    # Singular draws retry with seed + (attempt << 32); the basis keeps
-    # the seed it was asked for.  Sixteen singular draws give up.
+    # Singular draws retry with seed + (attempt << 32); the basis is the
+    # first nonsingular draw.  Sixteen singular draws give up.
     seeds, singular = [], 3
 
     def sample(n, ncols, seed, first_column_ones, field):
@@ -168,7 +168,7 @@ def test_generic_basis_redraws_singular_samples(monkeypatch):
     monkeypatch.setattr(volrig.shifting, "sample_generic_matrix", sample)
     b = generic_basis(5, seed=7)
     assert seeds == [7 + (a << 32) for a in range(4)]
-    assert b.seed == 7 and b.matrix.rank() == 5
+    assert b.matrix.rank() == 5
     assert b.matrix == sample_generic_matrix(5, 5, 7 + (3 << 32),
                                              first_column_ones=True, field=GF)
     seeds.clear()
@@ -347,18 +347,21 @@ def test_shifted_level_ordered_validates_order():
 
 def test_shifted_level_stable_retries_one_round(monkeypatch):
     # Bases seed + t disagree; the second round, seeds seed + 2^48 + t,
-    # agrees and is returned.  A second disagreement gives up.
+    # agrees and is returned.  A second disagreement gives up.  Each
+    # stand-in basis is its seed.
     seeds = []
 
-    def level(K, k, basis, order):
-        seeds.append(basis.seed)
-        return [(1, 2, 3)] if basis.seed >= 1 << 48 else [(basis.seed,)]
+    def level(K, k, seed, order):
+        seeds.append(seed)
+        return [(1, 2, 3)] if seed >= 1 << 48 else [(seed,)]
 
+    monkeypatch.setattr(volrig.shifting, "generic_basis",
+                        lambda n, seed, field: seed)
     monkeypatch.setattr(volrig.shifting, "shifted_level", level)
     assert shifted_level_stable(tetra(), 3, seed=5) == [(1, 2, 3)]
     assert seeds == [5, 6, 7] + [(1 << 48) + 5 + t for t in range(3)]
     monkeypatch.setattr(volrig.shifting, "shifted_level",
-                        lambda K, k, basis, order: [(basis.seed,)])
+                        lambda K, k, seed, order: [(seed,)])
     with pytest.raises(GenericityFailure):
         shifted_level_stable(tetra(), 3, seed=5)
 
