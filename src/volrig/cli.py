@@ -20,7 +20,8 @@ from .complexes import contract_edge
 from .cycles import (GF2, contraction_reduce, cycle_space, spans_minimal_cycle,
                      random_identity_sweep, verify_dataset)
 from .errors import BadParameters, VolrigError
-from .fileio import dataset_root, load_dataset, read_complex, write_complex
+from .fileio import (ENV_DATA_DIR, dataset_root, load_dataset, read_complex,
+                     write_complex)
 from .linalg import PRIME_TABLE, QQ, PrimeField, check_dense_size
 from .rigidity import generic_rank, rational_rank
 from .shifting import (characteristic_membership, generic_basis,
@@ -254,6 +255,9 @@ def _cmd_boundary_id(args, field, _):
 def _cmd_verify_dataset(args, field, _):
     root = args.dir or dataset_root()
     if root is None:
+        env = os.environ.get(ENV_DATA_DIR)
+        if env:
+            raise VolrigError("%s=%s is not a directory" % (ENV_DATA_DIR, env))
         raise VolrigError("no dataset directory: set VOLRIG_DATA or pass --dir")
     path = root if args.name is None else os.path.join(root, args.name)
     ds = load_dataset(path, name=args.name)

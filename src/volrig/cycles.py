@@ -27,7 +27,7 @@ from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
 from .rigidity import (Placement, RigidityReport, _rank_until_rigid,
                        _report, generic_rank, random_placement,
                        rigidity_matrix)
-from .shifting import _is_member
+from .shifting import _membership
 
 GF2 = PrimeField(2)
 
@@ -311,11 +311,14 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
 
     Irreducibility here means only that no admissible contraction
     exists; no homeomorphism typing is attempted.  Complexes on equal
-    vertex counts share their shifting bases, which depend only on n.
+    vertex counts share their shifting bases, which depend only on n,
+    through the one bases dict handed to every _membership call.
     trials means "up to trials" for a rigid complex and a member: each
     test stops at the first placement or basis that gives an exact
-    certificate (_rank_until_rigid, _is_member).  A flexible complex or
-    a non-member runs every trial and keeps the bound of all of them.
+    certificate (_rank_until_rigid, _membership with certify).  A
+    flexible complex or a non-member runs every trial and keeps the
+    bound of all of them, and each verdict is the one generic_rank and
+    characteristic_membership give.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
@@ -328,7 +331,7 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
         arithmetic = rep.arithmetic
         mem = None
         if K.d >= 3 and K.n >= K.d + 1:
-            mem = _is_member(K, trials, seed, field, bases)
+            mem = _membership(K, trials, seed, field, bases, True).member
         fixed = _admissible_edge(K) is None
         entries.append({
             "index": idx, "n": K.n, "d": K.d, "facets": K.num_facets,

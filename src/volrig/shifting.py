@@ -260,10 +260,10 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     set's first label or the one before, so memoised spans are dropped
     once the first label has moved two past theirs.
     """
-    _check_level(K, k)
     if order == "lex":
         return shifted_level_ordered(
             K, k, basis, combinations(range(1, basis.n + 1), k))
+    _check_level(K, k)
     if order != "p":
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
     face_rows = _face_rows(K, k, basis)
@@ -339,57 +339,30 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
     The face is a member when its compound vector raises the rank of the
     vectors of its predecessors.  A degenerate basis can lower either
     rank, so a single basis can err either way; the verdict compares the
-    best ranks over all trials, max rank(preds + face) > max rank(preds),
-    and per_trial keeps each basis's own vote.  A basis's two ranks
+    best ranks over the bases generic_basis(n, seed + t), t < trials:
+    max rank(preds + face) > max rank(preds).  per_trial keeps each
+    basis's own vote, so every trial runs (_membership without certify).
+    """
+    return _membership(K, trials, seed, field, {}, False)
+
+
+def _membership(K: SimplicialComplex, trials: int, seed: int, field,
+                bases: dict, certify: bool) -> MembershipReport:
+    """The votes of the bases seed + t, t < trials, on the characteristic
+    face, and the best-rank verdict over them.
+
+    Bases are drawn on first use into the list that bases keeps under n,
+    so complexes on equal vertex counts share them.  A basis's two ranks
     differ by its vote, so unanimous votes settle the comparison alone;
-    mixed votes also need each basis's predecessor rank, taken from the
-    same bases, generic_basis(n, seed + t) for t < trials.  Every trial
-    runs, as per_trial reports each vote; _is_member stops at a
-    certificate instead.
+    mixed votes also need each basis's predecessor rank.  With certify,
+    basis 0 settles a member alone when its yes vote is a certificate:
+    its predecessor span has full column rank c, no basis gives the
+    predecessors a rank above c, and this one gives rank c + 1 with the
+    face, so the best-rank rule finds a member whatever the other bases
+    vote.  For a rigid complex the face's whole down-set is in the
+    shifted family, so the first basis certifies, and per_trial holds
+    its vote alone.
     """
-    face, field = _characteristic_setup(K, trials, field)
-    bases = {}
-    votes = tuple(
-        in_shifted_family(K, face, _basis(K.n, t, seed, field, bases))
-        for t in range(trials))
-    return MembershipReport(
-        n=K.n, d=K.d, face=face,
-        member=_best_ranks_verdict(K, face, bases[K.n], votes),
-        trials=trials, seed=seed, per_trial=votes,
-        arithmetic=field.describe())
-
-
-def _is_member(K: SimplicialComplex, trials: int, seed: int, field,
-               bases: dict) -> bool:
-    """characteristic_membership(K, trials, seed, field).member, over
-    bases kept in bases under n (_basis) so that complexes on equal
-    vertex counts share them, and settled by basis 0 alone when its yes
-    vote is a certificate, so trials means "up to trials" for a member.
-
-    A yes vote is one when the predecessor span of that basis has full
-    column rank c: no basis gives the predecessors a rank above c, and
-    this one gives rank c + 1 with the face, so the best-rank rule
-    (_best_ranks_verdict) finds a member whatever the other bases vote.
-    For a rigid complex the face's whole down-set is in the shifted
-    family, so the first basis certifies.  Otherwise the remaining bases
-    vote and that rule decides, over the same bases.
-    """
-    face, field = _characteristic_setup(K, trials, field)
-    first = _basis(K.n, 0, seed, field, bases)
-    vote = in_shifted_family(K, face, first)
-    if vote:
-        span = _predecessor_span(K, face, first, "p")
-        if span.rank() == span.ncols:
-            return True
-    votes = (vote,) + tuple(
-        in_shifted_family(K, face, _basis(K.n, t, seed, field, bases))
-        for t in range(1, trials))
-    return _best_ranks_verdict(K, face, bases[K.n][:trials], votes)
-
-
-def _characteristic_setup(K: SimplicialComplex, trials: int, field):
-    """The characteristic face of K and the field, after the checks every
-    membership test makes before drawing a basis."""
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     if field is None:
@@ -397,29 +370,26 @@ def _characteristic_setup(K: SimplicialComplex, trials: int, field):
     face = characteristic_face(K.d, K.n)
     check_dense_size(K.num_facets, (K.n - K.d) * (K.d - 1),
                      "membership span matrix")
-    return face, field
-
-
-def _basis(n: int, t: int, seed: int, field, bases: dict) -> GenericBasis:
-    """generic_basis(n, seed + t), drawn on first use into the list that
-    bases keeps under n, with every earlier trial's basis before it."""
-    drawn = bases.setdefault(n, [])
-    while len(drawn) <= t:
-        drawn.append(generic_basis(n, seed + len(drawn), field=field))
-    return drawn[t]
-
-
-def _best_ranks_verdict(K: SimplicialComplex, face, drawn: list,
-                        votes: tuple) -> bool:
-    """max rank(preds + face) > max rank(preds) over the drawn bases,
-    given each basis's vote."""
+    drawn = bases.setdefault(K.n, [])
+    votes = []
+    for t in range(trials):
+        if len(drawn) == t:
+            drawn.append(generic_basis(K.n, seed + t, field=field))
+        votes.append(in_shifted_family(K, face, drawn[t]))
+        if certify and t == 0 and votes[0]:
+            span = _predecessor_span(K, face, drawn[0], "p")
+            if span.rank() == span.ncols:
+                break
     member = all(votes)
     if any(votes) and not member:
-        ranks = [_predecessor_span(K, face, b, "p").rank() for b in drawn]
+        ranks = [_predecessor_span(K, face, b, "p").rank()
+                 for b in drawn[:trials]]
         # The best rank with the face exceeds the best without it exactly
         # when a basis voting yes reaches the best predecessor rank.
         member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)
-    return member
+    return MembershipReport(
+        n=K.n, d=K.d, face=face, member=member, trials=trials, seed=seed,
+        per_trial=tuple(votes), arithmetic=field.describe())
 
 
 def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:

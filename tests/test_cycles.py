@@ -23,7 +23,7 @@ from volrig.linalg import QQ, PrimeField, default_field
 from volrig.rigidity import (Placement, _rank_until_rigid,
                              columns_independent, generic_rank,
                              random_placement)
-from volrig.shifting import characteristic_membership
+from volrig.shifting import _membership, characteristic_membership
 from volrig.sparsity import build_counterexample
 
 
@@ -424,14 +424,17 @@ def test_verify_dataset_equals_the_all_trials_reference():
     # Stopping at a certificate changes no entry: each equals the
     # verdicts of generic_rank and characteristic_membership over all
     # trials, and so do is_volume_rigid, _rank_until_rigid (whose ranks
-    # are the first ones of generic_rank's) and columns_independent on
-    # all facets.  Small fields make single trials miss, so every
-    # fallback runs: a rigid complex whose first placement misses the
-    # target, independent facets whose first placement misses full rank,
-    # a member whose first basis votes no, and a non-member whose first
-    # basis votes yes (a bare yes vote is no certificate).
+    # are the first ones of generic_rank's), _membership with certify
+    # (whose votes are the first ones of characteristic_membership's)
+    # and columns_independent on all facets.  Small fields make single
+    # trials miss, so every fallback runs: a rigid complex whose first
+    # placement misses the target, independent facets whose first
+    # placement misses full rank, a member whose first basis votes no,
+    # and a non-member whose first basis votes yes (a bare yes vote is no
+    # certificate).  Some member is still settled by its first basis.
     rng = fresh_rng(82)
     late_rigid = late_independent = late_member = refuted_yes = 0
+    early_member = 0
     for q in (5, 7, 13):
         field = PrimeField(q)
         for d in (3, 4):
@@ -454,6 +457,11 @@ def test_verify_dataset_equals_the_all_trials_reference():
                     assert ranked.generic_rank == full.generic_rank
                     assert ranked.trial_ranks == \
                         full.trial_ranks[:len(ranked.trial_ranks)]
+                    certified = _membership(K, trials, seed, field, {}, True)
+                    assert certified.member == mem.member
+                    assert certified.per_trial == \
+                        mem.per_trial[:len(certified.per_trial)]
+                    early_member += len(certified.per_trial) < trials
                     independent = full.generic_rank == K.num_facets
                     assert columns_independent(K, K.facets, trials, seed,
                                                field) == independent
@@ -468,6 +476,7 @@ def test_verify_dataset_equals_the_all_trials_reference():
                 assert rep.member_count == sum(bool(e["member"])
                                                for e in rep.entries)
     assert late_rigid and late_independent and late_member and refuted_yes
+    assert early_member
 
 
 def test_verify_dataset_stops_at_the_first_certificate(monkeypatch):

@@ -685,7 +685,7 @@ def test_cli_verify_dataset(tmp_path, monkeypatch):
     assert code == 2
 
 
-def test_cli_error_paths(tmp_path):
+def test_cli_error_paths(tmp_path, monkeypatch):
     code, text = run_command(["rank", "--in",
                               os.path.join(tmp_path, "absent.txt")])
     assert code == 2
@@ -705,6 +705,15 @@ def test_cli_error_paths(tmp_path):
     root = non_ascii_dataset(os.path.join(tmp_path, "ds"))
     assert run_command(["verify-dataset", "--dir", root]) == (
         2, "error: manifest.txt line 3: byte 0xc3 is not ASCII\n")
+    # A VOLRIG_DATA that names no directory is named in the error, so a
+    # typo is not mistaken for an unset variable.
+    for value in (os.path.join(tmp_path, "typo"), path):
+        monkeypatch.setenv("VOLRIG_DATA", value)
+        assert run_command(["verify-dataset", "--name", "torus"]) == (
+            2, "error: VOLRIG_DATA=%s is not a directory\n" % value)
+    monkeypatch.delenv("VOLRIG_DATA")
+    assert run_command(["verify-dataset", "--name", "torus"]) == (
+        2, "error: no dataset directory: set VOLRIG_DATA or pass --dir\n")
 
 
 def test_cli_prime_selection(tetra_file):
