@@ -31,6 +31,15 @@ from .sparsity import (SparsityParams, build_counterexample,
 
 EXACT_SIZE_LIMIT = 24
 
+# Caps on --trials and --samples, checked before any input is read: run
+# time grows linearly in both, and sigma0 keeps every trial's basis and
+# minor memo until its verdict.  Every admitted rigidity matrix has
+# r(d-2) < 250,000 (r <= f, and (d-1)n f is within the entry limit), so
+# over the smallest table prime, 2^31 - 1, one trial misses the generic
+# rank with probability below 2^-13 (generic_rank's bound) and 64 trials
+# below 2^-800.
+COUNT_CAPS = (("trials", 64), ("samples", 10000))
+
 
 def _suffix(arith: str, trials=None) -> str:
     if trials is None:
@@ -395,6 +404,9 @@ def run_command(argv) -> tuple:
             return 2, "error: prime index %d outside 0..%d\n" % (
                 args.prime, len(PRIME_TABLE) - 1)
         field = PrimeField(PRIME_TABLE[args.prime])
+    for key, cap in COUNT_CAPS:
+        if getattr(args, key, 0) > cap:
+            return 2, "error: %s must be at most %d\n" % (key, cap)
     try:
         K = read_complex(args.infile) if "infile" in args else None
         code, lines, obj = args.handler(args, field, K)

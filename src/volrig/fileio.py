@@ -6,8 +6,8 @@ does not start with `#` carries exactly d vertex labels, space
 separated.  A trailing newline is optional on read and always written.
 
 A dataset directory, as write_dataset writes and load_dataset reads it,
-holds one complex file per triangulation plus a `manifest.txt` of `#`
-provenance lines and `filename vertex_count facet_count sha256` lines.
+holds complex files and a `manifest.txt` of `#` provenance lines and
+`name n f sha256` lines, each name plain and no name or sha256 twice.
 """
 
 from __future__ import annotations
@@ -142,7 +142,14 @@ def load_dataset(dirpath: str, name: str | None = None) -> SurfaceDataset:
     provenance = "\n".join(line.strip() for line in manifest_text.split("\n")
                            if line.strip().startswith("#"))
     complexes = []
+    names, checksums = set(), set()
     for fname, n, f, checksum in parse_manifest(manifest_text):
+        if fname != os.path.basename(fname) or fname in (".", ".."):
+            raise DatasetError("manifest: %s is not a plain file name" % fname)
+        if fname in names or checksum in checksums:
+            raise DatasetError("manifest lists %s or its sha256 twice" % fname)
+        names.add(fname)
+        checksums.add(checksum)
         path = os.path.join(dirpath, fname)
         if not os.path.isfile(path):
             raise DatasetError("missing dataset file %s" % fname)

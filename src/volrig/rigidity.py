@@ -14,8 +14,7 @@ import random
 from collections import namedtuple
 
 from .complexes import SimplicialComplex, as_face, build_complex
-from .errors import (BadParameters, DimensionMismatch,
-                     MissingVertexCoordinates, VertexOutOfRange)
+from .errors import BadParameters, DimensionMismatch, MissingVertexCoordinates
 from .linalg import (QQ, ExactMatrix, check_dense_size, default_field,
                      sample_generic_matrix)
 
@@ -71,23 +70,24 @@ def simplex_matrix(p: Placement, sigma) -> ExactMatrix:
     return ExactMatrix(data, f, _trusted=True)
 
 
-def _volume_gradient_columns(p: Placement, n: int, faces) -> ExactMatrix:
-    """Jacobian columns of the facet-volume map for the given faces.
+def rigidity_matrix(K: SimplicialComplex, p: Placement) -> ExactMatrix:
+    """The (d-1)n x f Jacobian of the facet-volume map at p.
 
     Rows come in vertex-major blocks of d-1 coordinate rows: row
     (v-1)(d-1) + (i-1) differentiates with respect to the i-th
-    coordinate of vertex v.  The column for a face sigma holds the
+    coordinate of vertex v.  The column for a facet sigma holds the
     signed cofactors of its lifted simplex matrix: the derivative with
     respect to p(v_j)_i is the cofactor deleting row i and column j,
     read off one reduction of the matrix without row i (ExactMatrix.minor).
     """
+    if p.d != K.d:
+        raise DimensionMismatch("placement has d=%d, complex has d=%d"
+                                % (p.d, K.d))
     f = p.field
     d = p.d
     drop = [tuple(r for r in range(d) if r != i) for i in range(d)]
-    m = ExactMatrix.zeros((d - 1) * n, len(faces), f)
-    for col, sigma in enumerate(faces):
-        if sigma[-1] > n:
-            raise VertexOutOfRange("face %r exceeds n=%d" % (sigma, n))
+    m = ExactMatrix.zeros((d - 1) * K.n, K.num_facets, f)
+    for col, sigma in enumerate(K.facets):
         lifted = simplex_matrix(p, sigma)
         memo = {}
         for j, v in enumerate(sigma):
@@ -96,14 +96,6 @@ def _volume_gradient_columns(p: Placement, n: int, faces) -> ExactMatrix:
                 c = lifted.minor(drop[i], drop[j], memo)
                 m.data[base + i][col] = f.neg(c) if (i + j) % 2 else c
     return m
-
-
-def rigidity_matrix(K: SimplicialComplex, p: Placement) -> ExactMatrix:
-    """The (d-1)n x f Jacobian of the facet-volume map at p."""
-    if p.d != K.d:
-        raise DimensionMismatch("placement has d=%d, complex has d=%d"
-                                % (p.d, K.d))
-    return _volume_gradient_columns(p, K.n, K.facets)
 
 
 def trivial_motion_basis(p: Placement, n: int) -> ExactMatrix:
@@ -173,19 +165,20 @@ def _min_degree_order(n: int, faces) -> list:
     return order
 
 
-def _ordered_rank(m: ExactMatrix, faces, order) -> int:
-    """Rank of a volume-gradient matrix m, eliminated with little fill.
+def _ordered_rank(K: SimplicialComplex, p: Placement, order) -> int:
+    """Rank of K's rigidity matrix at p, eliminated with little fill.
 
-    Eliminates the transpose: one row per face, sorted by the sorted
+    Eliminates the transpose: one row per facet, sorted by the sorted
     positions of its vertices in order, and one column per coordinate
-    row of m, vertex by vertex in order.  Permuting and transposing
-    leave the rank unchanged.
+    row of the rigidity matrix, vertex by vertex in order.  Permuting
+    and transposing leave the rank unchanged.
     """
-    k = m.nrows // len(order)
+    m = rigidity_matrix(K, p)
+    k = K.d - 1
     pos = {v: i for i, v in enumerate(order)}
     coord_rows = [(v - 1) * k + i for v in order for i in range(k)]
-    face_cols = sorted(range(len(faces)),
-                       key=lambda c: sorted(pos[v] for v in faces[c]))
+    face_cols = sorted(range(K.num_facets),
+                       key=lambda c: sorted(pos[v] for v in K.facets[c]))
     by_face = list(zip(*(m.data[r] for r in coord_rows)))
     return ExactMatrix([list(by_face[c]) for c in face_cols],
                        m.field, _trusted=True).rank()
@@ -231,7 +224,7 @@ def _placement_ranks(K: SimplicialComplex, trials: int, seed: int, field,
     ranks = []
     for t in range(trials):
         p = random_placement(K.n, K.d, seed + t, field=field)
-        ranks.append(_ordered_rank(rigidity_matrix(K, p), K.facets, order))
+        ranks.append(_ordered_rank(K, p, order))
         if ranks[-1] == stop_rank:
             break
     return _report(K.n, K.d, K.num_facets, trials, seed, ranks, field)
@@ -282,22 +275,16 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
 
     The first argument fixes the vertex count; a complex or a plain n
     both work, since independence only depends on the selected faces.
-    The faces are ranked as the complex they form, at the placements of
-    generic_rank, stopping at the first that reaches full rank; a
-    repeated face leaves that complex short of it.
+    The faces form a complex, which build_complex validates; it is
+    ranked at the placements of generic_rank, stopping at the first
+    that reaches full rank, and a repeated face leaves it short of that.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     n = K_or_n.n if isinstance(K_or_n, SimplicialComplex) else int(K_or_n)
-    faces = [as_face(s) for s in faces]
+    faces = list(faces)
     if not faces:
         return True
-    d = len(faces[0])
-    for s in faces:
-        if len(s) != d:
-            raise DimensionMismatch("faces of mixed cardinality")
-        if s[-1] > n:
-            raise VertexOutOfRange("face %r exceeds n=%d" % (s, n))
     rep = _placement_ranks(build_complex(n, faces), trials, seed, field,
                            len(faces))
     return rep.generic_rank == len(faces)
@@ -318,5 +305,4 @@ def rational_rank(K: SimplicialComplex, seed: int = 0) -> int:
                        for _ in range(K.d - 1))
               for v in range(1, K.n + 1)}
     p = Placement(d=K.d, coords=coords, field=QQ)
-    return _ordered_rank(rigidity_matrix(K, p), K.facets,
-                         _min_degree_order(K.n, K.facets))
+    return _ordered_rank(K, p, _min_degree_order(K.n, K.facets))

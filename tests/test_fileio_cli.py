@@ -157,6 +157,57 @@ def test_load_dataset_rejects_missing_file(tmp_path):
     assert "missing" in str(err.value)
 
 
+def write_manifest(dirpath, names):
+    """dirpath/manifest.txt listing each name with the counts and sha256
+    of the file it reaches from dirpath."""
+    lines = ["# source: handmade"]
+    for name in names:
+        path = os.path.join(dirpath, name)
+        K = read_complex(path)
+        lines.append("%s %d %d %s" % (name, K.n, K.num_facets,
+                                      sha256_file(path)))
+    with open(os.path.join(dirpath, "manifest.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_load_dataset_refuses_names_outside_its_directory(tmp_path):
+    # Each name reaches a file that would load; only its form is refused.
+    outside = os.path.join(tmp_path, "tetra.txt")
+    write_complex(tetra(), outside)
+    inner = os.path.join(tmp_path, "ds", "inner")
+    os.makedirs(inner)
+    for name in (".", ".."):
+        with open(os.path.join(inner, "manifest.txt"), "w") as fh:
+            fh.write("%s 4 4 %s\n" % (name, sha256_file(outside)))
+        with pytest.raises(DatasetError) as err:
+            load_dataset(inner)
+        assert "not a plain file name" in str(err.value)
+    for name in ("../../tetra.txt", outside):
+        write_manifest(inner, [name])
+        with pytest.raises(DatasetError) as err:
+            load_dataset(inner)
+        assert str(err.value) == (
+            "manifest: %s is not a plain file name" % name)
+        assert run_command(["verify-dataset", "--dir", inner]) == (
+            2, "error: %s\n" % err.value)
+
+
+def test_load_dataset_refuses_repeated_files(tmp_path):
+    root = os.path.join(tmp_path, "ds")
+    make_dataset(root, [tetra()])
+    with open(os.path.join(root, "c00.txt"), "rb") as fh:
+        write_bytes(os.path.join(root, "copy.txt"), fh.read())
+    for names in (["c00.txt", "c00.txt"], ["c00.txt", "copy.txt"]):
+        message = "manifest lists %s or its sha256 twice" % names[1]
+        write_manifest(root, names)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        assert str(err.value) == message
+        # Each copy would otherwise count toward --expect.
+        assert run_command(["verify-dataset", "--dir", root,
+                            "--expect", "2"]) == (2, "error: %s\n" % message)
+
+
 def write_bytes(path, data):
     with open(path, "wb") as fh:
         fh.write(data)
@@ -335,10 +386,11 @@ def test_cli_psi():
     assert code == 0
     assert "rows 10 cols 10" in text
     assert "rank 5 kernel 5" in text
-    for trials in ("0", "-2"):
+    for trials, bound in (("0", "at least 1"), ("-2", "at least 1"),
+                          ("65", "at most 64")):
         code, text = run_command(["psi", "--d", "3", "--n", "5",
                                   "--trials", trials])
-        assert (code, text) == (2, "error: trials must be at least 1\n")
+        assert (code, text) == (2, "error: trials must be %s\n" % bound)
 
 
 def test_cli_sampling_commands_refuse_trials_below_one(tetra_file, tmp_path):
@@ -349,9 +401,15 @@ def test_cli_sampling_commands_refuse_trials_below_one(tetra_file, tmp_path):
                  ["sigma0", "--in", tetra_file],
                  ["counterexample", "--d", "3"],
                  ["verify-dataset", "--dir", root]):
-        for trials in ("0", "-2"):
+        for trials, bound in (("0", "at least 1"), ("-2", "at least 1"),
+                              ("65", "at most 64")):
             assert run_command(argv + ["--trials", trials]) == (
-                2, "error: trials must be at least 1\n"), argv
+                2, "error: trials must be %s\n" % bound), argv
+    # The cap is checked before --in is read.
+    missing = os.path.join(tmp_path, "missing.txt")
+    assert run_command(["sigma0", "--in", missing, "--trials",
+                        "100000000"]) == (
+        2, "error: trials must be at most 64\n")
 
 
 def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
@@ -662,6 +720,8 @@ def test_cli_boundary_identity():
     for samples in ("0", "-3"):
         code, text = run_command(["boundary-id", "--samples", samples])
         assert (code, text) == (2, "error: samples must be at least 1\n")
+    code, text = run_command(["boundary-id", "--samples", "10001"])
+    assert (code, text) == (2, "error: samples must be at most 10000\n")
 
 
 def test_cli_verify_dataset(tmp_path, monkeypatch):

@@ -17,8 +17,7 @@ from volrig.errors import (BadParameters, DimensionMismatch,
                            MissingVertexCoordinates, MixedDimension,
                            VertexOutOfRange)
 from volrig.linalg import QQ, PrimeField, sample_generic_matrix
-from volrig.rigidity import (Placement, _volume_gradient_columns,
-                             columns_independent, generic_rank,
+from volrig.rigidity import (Placement, columns_independent, generic_rank,
                              is_volume_rigid, random_placement,
                              simplex_matrix)
 from volrig.shifting import (_predecessors, characteristic_membership,
@@ -44,10 +43,6 @@ CHECKS = [
     ("simplex_matrix short coordinates",
      lambda: simplex_matrix(short_coordinates(), (1, 2, 3)),
      MissingVertexCoordinates),
-    ("volume_gradient face beyond n",
-     lambda: _volume_gradient_columns(random_placement(4, 3, 0), 3,
-                                          [(1, 2, 4)]),
-     VertexOutOfRange),
     ("generic_rank trials<1", lambda: generic_rank(tetra(), trials=0),
      BadParameters),
     ("is_volume_rigid trials<1", lambda: is_volume_rigid(tetra(), trials=0),
@@ -57,7 +52,7 @@ CHECKS = [
      BadParameters),
     ("columns_independent mixed cardinality",
      lambda: columns_independent(4, [(1, 2, 3), (1, 2)]),
-     DimensionMismatch),
+     MixedDimension),
     ("columns_independent face beyond n",
      lambda: columns_independent(3, [(1, 2, 4)]), VertexOutOfRange),
     # shifting

@@ -15,8 +15,7 @@ from volrig.errors import (DimensionMismatch, InstanceTooLarge,
                            MissingVertexCoordinates)
 from volrig.linalg import QQ, PrimeField, default_field
 from volrig.rigidity import (_min_degree_order, _ordered_rank,
-                             _volume_gradient_columns, rational_rank,
-                             target_rank)
+                             rational_rank, target_rank)
 from volrig.sparsity import bipartite_complete_graph
 
 
@@ -211,10 +210,11 @@ def _placement(rng, n, d, field):
     return random_placement(n, d, rng.randrange(10 ** 6), field=field)
 
 
-def _assert_ordered_rank_is_rank(rng, n, d, faces, field):
-    p = _placement(rng, n, d, field)
-    m = _volume_gradient_columns(p, n, faces)
-    assert _ordered_rank(m, faces, _min_degree_order(n, faces)) == m.rank()
+def _assert_ordered_rank_is_rank(rng, K, field):
+    p = _placement(rng, K.n, K.d, field)
+    rank = _ordered_rank(K, p, _min_degree_order(K.n, K.facets))
+    assert rank == rigidity_matrix(K, p).rank()
+    return rank
 
 
 @pytest.mark.parametrize("field", [default_field(), PrimeField(7), QQ],
@@ -226,16 +226,12 @@ def test_ordered_rank_equals_natural_rank(field):
             # Few facets leave isolated vertices; n = d has one facet.
             for f in (1, min(2, comb(n, d)), None):
                 K = random_complex(rng, n, d, f=f)
-                _assert_ordered_rank_is_rank(rng, n, d, K.facets, field)
-        _assert_ordered_rank_is_rank(rng, d + 2, d, [], field)
-        _assert_ordered_rank_is_rank(rng, 3 * d, d, [tuple(range(1, d + 1))],
-                                     field)
+                _assert_ordered_rank_is_rank(rng, K, field)
+        _assert_ordered_rank_is_rank(
+            rng, build_complex(3 * d, [tuple(range(1, d + 1))]), field)
     for d, n in ((3, 90), (4, 50)):
         K = stacked_sphere(rng, d, n)
-        p = _placement(rng, n, d, field)
-        m = rigidity_matrix(K, p)
-        rank = _ordered_rank(m, K.facets, _min_degree_order(n, K.facets))
-        assert rank == m.rank()
+        rank = _assert_ordered_rank_is_rank(rng, K, field)
         if field != PrimeField(7):
             assert rank == target_rank(n, d, K.num_facets)
 
