@@ -126,14 +126,12 @@ def _cmd_psi(args, field, _):
     if not 2 <= args.d <= args.n:
         raise BadParameters("need 2 <= d <= n, got d=%d n=%d"
                             % (args.d, args.n))
-    check_dense_size(comb(args.n, args.d), (args.d - 1) * args.n,
-                     "wedge map matrix")
+    rows, cols = comb(args.n, args.d), (args.d - 1) * args.n
+    check_dense_size(rows, cols, "wedge map matrix")
     best = 0
     for t in range(args.trials):
         basis = generic_basis(args.n, seed=args.seed + t, field=field)
         best = max(best, wedge_map_matrix(basis, args.d).rank())
-    rows = comb(args.n, args.d)
-    cols = (args.d - 1) * args.n
     kernel = cols - best
     lines = ["d %d n %d rows %d cols %d" % (args.d, args.n, rows, cols),
              "rank %d kernel %d %s" % (best, kernel,

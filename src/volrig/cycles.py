@@ -25,8 +25,8 @@ from .fileio import SurfaceDataset
 from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
                      default_field)
 from .rigidity import (Placement, RigidityReport, _rank_until_rigid,
-                       _report, generic_rank, random_placement,
-                       rigidity_matrix)
+                       _report, _vertex_matrix, generic_rank,
+                       random_placement, rigidity_matrix)
 from .shifting import _membership
 
 GF2 = PrimeField(2)
@@ -113,22 +113,21 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
     For vertex v and coordinate i the right side is (-1)^(d+i) times the
     sum, over cardinality d-1 faces tau containing v, of
     sign(tau minus v, tau) * det(N) * (boundary coefficient at tau),
-    where N drops row i from the coordinate matrix of tau minus v (a
-    minor of its transpose, whose rows are the vertices' coordinates).
-    It is summed in one pass over the faces of the chain's boundary.
+    where det(N) is the vertex matrix (1 | p)'s minor at tau minus v and
+    the coordinate columns other than i.  It is summed in one pass over
+    the faces of the chain's boundary.
     """
-    d = K.d
-    field = p.field
+    d, field = K.d, p.field
+    A = _vertex_matrix(p, K.n)
     lhs = rigidity_matrix(K, p).mul_vec(chain_vector(K, chain, field))
     rhs = [field.zero] * len(lhs)
+    memo = {}
     for tau, coeff in chain_boundary(K, chain, field).items():
         for j, v in enumerate(tau, start=1):
-            coords = ExactMatrix([p.vector(u) for u in tau if u != v], field,
-                                 _trusted=True)
-            memo = {}
+            rows = tuple(u - 1 for u in tau if u != v)
             for i in range(1, d):
-                term = field.mul(coords.minor(tuple(range(d - 2)), tuple(
-                    r for r in range(d - 1) if r != i - 1), memo), coeff)
+                cols = tuple(c for c in range(1, d) if c != i)
+                term = field.mul(A.minor(rows, cols, memo), coeff)
                 if (j + d + i) % 2:
                     term = field.neg(term)
                 at = (v - 1) * (d - 1) + (i - 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from functools import cache
 
 from .complexes import SimplicialComplex, as_face, build_complex
 from .errors import BadParameters, DimensionMismatch, MissingVertexCoordinates
@@ -70,31 +71,54 @@ def simplex_matrix(p: Placement, sigma) -> ExactMatrix:
     return ExactMatrix(data, f, _trusted=True)
 
 
+def _vertex_matrix(p: Placement, n: int) -> ExactMatrix:
+    """The n x d matrix whose row v-1 is (1, p(v)), like a GenericBasis's
+    first d columns."""
+    rows = [[p.field.one, *p.vector(v)] for v in range(1, n + 1)]
+    if any(len(row) != p.d for row in rows):
+        raise MissingVertexCoordinates("coordinate vector of wrong length")
+    return ExactMatrix(rows, p.field, _trusted=True)
+
+
+@cache
+def _column_drops(d: int) -> tuple:
+    """(c, [d] minus c as 0-based column indices) for 2 <= c <= d."""
+    return tuple((c, (*range(c - 1), *range(c, d))) for c in range(2, d + 1))
+
+
+def _cofactors(A: ExactMatrix, sigma, memo: dict):
+    """(v, c, (-1)^(d-t) det A[sigma minus v, [d] minus c]) for v the t-th
+    vertex of sigma, d = len(sigma) and 2 <= c <= d: the one cofactor
+    routine, its minors read with ExactMatrix.minor and memo."""
+    d, f = len(sigma), A.field
+    drops = _column_drops(d)
+    for t, v in enumerate(sigma, start=1):
+        rows = tuple(u - 1 for u in sigma if u != v)
+        for c, cols in drops:
+            x = A.minor(rows, cols, memo)
+            yield v, c, f.neg(x) if (d - t) % 2 else x
+
+
 def rigidity_matrix(K: SimplicialComplex, p: Placement) -> ExactMatrix:
     """The (d-1)n x f Jacobian of the facet-volume map at p.
 
-    Rows come in vertex-major blocks of d-1 coordinate rows: row
-    (v-1)(d-1) + (i-1) differentiates with respect to the i-th
-    coordinate of vertex v.  The column for a facet sigma holds the
-    signed cofactors of its lifted simplex matrix: the derivative with
-    respect to p(v_j)_i is the cofactor deleting row i and column j,
-    read off one reduction of the matrix without row i (ExactMatrix.minor).
+    Row (v-1)(d-1) + c-2 differentiates with respect to coordinate c-1
+    of vertex v, 2 <= c <= d; its entry at facet sigma is (-1)^(c-1)
+    times _cofactors' entry (v, c) of sigma on the vertex matrix (1 | p),
+    a cofactor of sigma's lifted simplex matrix.  At p =
+    placement_from_basis(b, d) that matrix is b's first d columns, so
+    this is wedge_map_matrix(b, d, K.facets) transposed, with those
+    signs.  Every vertex 1..n needs coordinates, isolated ones included.
     """
     if p.d != K.d:
         raise DimensionMismatch("placement has d=%d, complex has d=%d"
                                 % (p.d, K.d))
-    f = p.field
-    d = p.d
-    drop = [tuple(r for r in range(d) if r != i) for i in range(d)]
-    m = ExactMatrix.zeros((d - 1) * K.n, K.num_facets, f)
+    f, k = p.field, p.d - 1
+    A = _vertex_matrix(p, K.n)
+    m = ExactMatrix.zeros(k * K.n, K.num_facets, f)
     for col, sigma in enumerate(K.facets):
-        lifted = simplex_matrix(p, sigma)
-        memo = {}
-        for j, v in enumerate(sigma):
-            base = (v - 1) * (d - 1)
-            for i in range(d - 1):
-                c = lifted.minor(drop[i], drop[j], memo)
-                m.data[base + i][col] = f.neg(c) if (i + j) % 2 else c
+        for v, c, x in _cofactors(A, sigma, {}):
+            m.data[(v - 1) * k + c - 2][col] = x if c % 2 else f.neg(x)
     return m
 
 
@@ -103,39 +127,24 @@ def trivial_motion_basis(p: Placement, n: int) -> ExactMatrix:
 
     The motions are z_v = A p(v) + u over a basis of traceless A
     (elementary off-diagonal matrices plus consecutive diagonal
-    differences) and the d-1 coordinate translations, giving
-    d*d - d - 1 rows of length (d-1) n.
+    differences) and the d-1 coordinate translations: d*d - d - 1 rows
+    of length (d-1) n, read off columns of the vertex matrix (1 | p).
     """
-    f = p.field
-    d = p.d
-    width = (d - 1) * n
-    rows = []
+    f, k = p.field, p.d - 1
+    A = _vertex_matrix(p, n)
 
-    def blank():
-        return [f.zero] * width
+    def motion(*terms):
+        row = [f.zero] * (k * n)
+        for v, x in enumerate(A.data):
+            for a, c, neg in terms:
+                row[v * k + a] = f.neg(x[c]) if neg else x[c]
+        return row
 
-    def put(row, v, i, value):
-        row[(v - 1) * (d - 1) + i] = value
-
-    for a in range(d - 1):
-        for b in range(d - 1):
-            if a == b:
-                continue
-            row = blank()
-            for v in range(1, n + 1):
-                put(row, v, a, p.vector(v)[b])
-            rows.append(row)
-    for a in range(d - 2):
-        row = blank()
-        for v in range(1, n + 1):
-            put(row, v, a, p.vector(v)[a])
-            put(row, v, a + 1, f.neg(p.vector(v)[a + 1]))
-        rows.append(row)
-    for t in range(d - 1):
-        row = blank()
-        for v in range(1, n + 1):
-            put(row, v, t, f.one)
-        rows.append(row)
+    rows = [motion((a, b + 1, False))
+            for a in range(k) for b in range(k) if a != b]
+    rows += [motion((a, a + 1, False), (a + 1, a + 2, True))
+             for a in range(k - 1)]
+    rows += [motion((a, 0, False)) for a in range(k)]
     return ExactMatrix(rows, f, _trusted=True)
 
 
@@ -299,6 +308,8 @@ def rational_rank(K: SimplicialComplex, seed: int = 0) -> int:
     generic_rank, which does not change it but keeps the sparse matrix
     from filling in with large fractions.
     """
+    if K.d < 2:
+        raise BadParameters("facet cardinality must be at least 2")
     check_dense_size((K.d - 1) * K.n, K.num_facets, "rigidity matrix")
     rng = random.Random(seed)
     coords = {v: tuple(QQ.of(rng.randrange(-999, 1000))

@@ -22,7 +22,7 @@ from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
                      SingularBasis, SizeExceedsDimension, VertexOutOfRange)
 from .linalg import (ExactMatrix, check_dense_size, default_field,
                      echelon_insert, sample_generic_matrix)
-from .rigidity import Placement
+from .rigidity import Placement, _cofactors
 
 # Failed nonsingularity draws retry with seed + (attempt << 32), keeping
 # distinct attempts and distinct base seeds from colliding.
@@ -399,8 +399,10 @@ def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:
     the given faces); columns come in d-1 blocks i = 2..d of n unit
     vectors e_v each, so column (i, v) sits at (i-2) n + (v-1).  The
     entry at row sigma is zero unless v is in sigma, in which case it is
-    the minor det A[sigma minus v, [d] minus i] with sign (-1)^(d-t),
-    t the position of v in sigma.
+    _cofactors' entry (v, i): (-1)^(d-t) det A[sigma minus v, [d] minus
+    i], t the position of v in sigma.  At faces=K.facets this is
+    rigidity_matrix(K, placement_from_basis(basis, d)) transposed, with
+    column (i, v) signed by (-1)^(i-1).
     """
     n = basis.n
     if d < 2 or d > n:
@@ -416,17 +418,10 @@ def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:
                 raise DimensionMismatch("row face %r is not size %d" % (s, d))
             if s[-1] > n:
                 raise VertexOutOfRange("row face %r exceeds n=%d" % (s, n))
-    f = basis.field
-    out = ExactMatrix.zeros(len(rows), (d - 1) * n, f)
+    out = ExactMatrix.zeros(len(rows), (d - 1) * n, basis.field)
     for r, sigma in enumerate(rows):
-        for t, v in enumerate(sigma, start=1):
-            sub_rows = tuple(u - 1 for u in sigma if u != v)
-            for i in range(2, d + 1):
-                sub_cols = tuple(c - 1 for c in range(1, d + 1) if c != i)
-                val = basis.minor(sub_rows, sub_cols)
-                if (d - t) % 2:
-                    val = f.neg(val)
-                out.data[r][(i - 2) * n + (v - 1)] = val
+        for v, c, x in _cofactors(basis.matrix, sigma, basis._minors):
+            out.data[r][(c - 2) * n + v - 1] = x
     return out
 
 

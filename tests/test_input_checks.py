@@ -19,7 +19,8 @@ from volrig.errors import (BadParameters, DimensionMismatch,
 from volrig.linalg import QQ, PrimeField, sample_generic_matrix
 from volrig.rigidity import (Placement, columns_independent, generic_rank,
                              is_volume_rigid, random_placement,
-                             simplex_matrix)
+                             rational_rank, rigidity_matrix, simplex_matrix,
+                             trivial_motion_basis)
 from volrig.shifting import (_predecessors, characteristic_membership,
                              compound_vector, generic_basis,
                              placement_from_basis, shifted_level,
@@ -43,6 +44,15 @@ CHECKS = [
     ("simplex_matrix short coordinates",
      lambda: simplex_matrix(short_coordinates(), (1, 2, 3)),
      MissingVertexCoordinates),
+    ("trivial_motion_basis short coordinates",
+     lambda: trivial_motion_basis(short_coordinates(), 3),
+     MissingVertexCoordinates),
+    ("rigidity_matrix short coordinates",
+     lambda: rigidity_matrix(build_complex(3, [(1, 2, 3)]),
+                             short_coordinates()),
+     MissingVertexCoordinates),
+    ("rational_rank d<2",
+     lambda: rational_rank(build_complex(3, [(1,), (2,)])), BadParameters),
     ("generic_rank trials<1", lambda: generic_rank(tetra(), trials=0),
      BadParameters),
     ("is_volume_rigid trials<1", lambda: is_volume_rigid(tetra(), trials=0),

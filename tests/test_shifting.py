@@ -490,26 +490,32 @@ def test_wedge_matrix_explicit_kernel():
 def test_wedge_entries_are_signed_cofactors():
     # Entry at (row sigma, column (i,v)) for v the j-th vertex of sigma
     # equals (-1)^(i-1) times the cofactor of the lifted simplex matrix
-    # deleting coordinate row i-1 and vertex column j.
-    for n in (4, 5):
-        d = 3
-        b = generic_basis(n, seed=n)
-        p = placement_from_basis(b, d)
-        w = wedge_map_matrix(b, d)
-        rows = list(combinations(range(1, n + 1), d))
-        for r, sigma in enumerate(rows):
-            lifted = simplex_matrix(p, sigma)
-            for i in range(2, d + 1):
-                for v in range(1, n + 1):
-                    got = w.data[r][(i - 2) * n + (v - 1)]
-                    if v not in sigma:
-                        assert got == 0
-                        continue
-                    j = sigma.index(v) + 1
-                    want = cofactor(lifted, i - 2, j - 1)
-                    if (i - 1) % 2:
-                        want = GF.neg(want)
-                    assert got == want
+    # deleting coordinate row i-1 and vertex column j.  Both parities of
+    # d, minors past 3 x 3 (d >= 5, read off memoised reductions) and a
+    # shuffled list of row faces are covered.
+    rng = fresh_rng(53)
+    for d in range(3, 7):
+        for n in (d + 1, d + 2):
+            b = generic_basis(n, seed=n + 10 * d)
+            p = placement_from_basis(b, d)
+            rows = list(combinations(range(1, n + 1), d))
+            rng.shuffle(rows)
+            for faces in (None, rows):
+                w = wedge_map_matrix(b, d, faces=faces)
+                for r, sigma in enumerate(
+                        faces or combinations(range(1, n + 1), d)):
+                    lifted = simplex_matrix(p, sigma)
+                    for i in range(2, d + 1):
+                        for v in range(1, n + 1):
+                            got = w.data[r][(i - 2) * n + (v - 1)]
+                            if v not in sigma:
+                                assert got == 0
+                                continue
+                            j = sigma.index(v) + 1
+                            want = cofactor(lifted, i - 2, j - 1)
+                            if (i - 1) % 2:
+                                want = GF.neg(want)
+                            assert got == want
 
 
 def test_wedge_restriction_matches_rigidity_rank():
