@@ -96,12 +96,11 @@ def cone(K: SimplicialComplex, apex: int | None = None) -> SimplicialComplex:
 
 
 def union_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialComplex:
+    """Both facet sets on max(K.n, L.n) vertices, isolated ones kept."""
     if K.d != L.d:
         raise MixedDimension("cannot unite complexes of cardinality %d and %d"
                              % (K.d, L.d))
-    facets = sorted(set(K.facets) | set(L.facets))
-    n = max(f[-1] for f in facets)
-    return build_complex(n, facets)
+    return build_complex(max(K.n, L.n), set(K.facets) | set(L.facets))
 
 
 def facets_containing(K: SimplicialComplex, face) -> list:

@@ -12,9 +12,7 @@ and drives edge-contraction reduction of surface triangulations.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
 from collections import namedtuple
-from heapq import heappop, heappush
 from itertools import combinations
 
 from .complexes import (SimplicialComplex, as_face, build_complex,
@@ -176,97 +174,54 @@ def default_admissible(K: SimplicialComplex, u: int, w: int) -> bool:
             and (K.d != 3 or surface_link_condition(K, u, w)))
 
 
-class _StarIndex:
-    """The star of every vertex, kept across contractions in the labels
-    of the complex it was built from.
-
-    A contraction of {u, w} (u < w) rewrites only the facets through w,
-    so the update is local; the labels above w that contract_edge shifts
-    down keep their order, so lex order on surviving edges is the same in
-    both labellings.  `heap` holds every edge that may be admissible,
-    plus stale entries that are dropped when popped.  Only the old
-    neighbours of w (u among them) change their stars, and an edge whose
-    ends keep their stars can only lose admissibility, as the facet
-    count falls; so those neighbours' edges are the ones to queue again.
-    """
-
-    def __init__(self, K: SimplicialComplex):
-        self.d = K.d
-        self.facets = set()
-        self.star = {}
-        for s in K.facets:
-            self._add(s)
-        self.heap = sorted({e for s in K.facets for e in combinations(s, 2)})
-        self.queued = set(self.heap)
-
-    def _add(self, s):
-        self.facets.add(s)
+def _stars(K: SimplicialComplex) -> dict:
+    """Vertex v -> the set of K's facets through v, for v in 1..n."""
+    star = {v: set() for v in range(1, K.n + 1)}
+    for s in K.facets:
         for v in s:
-            self.star.setdefault(v, set()).add(s)
-
-    def _neighbours(self, v) -> set:
-        return {x for s in self.star.get(v, ()) for x in s if x != v}
-
-    def admissible(self, u: int, w: int) -> bool:
-        """default_admissible(K, u, w), read off the stars of u and w."""
-        through = [s for s in self.star.get(u, ()) if w in s]
-        if not self.d - 1 <= len(through) < len(self.facets):
-            return False
-        if self.d != 3:
-            return True
-        apexes = {x for s in through for x in s} - {u, w}
-        if self._neighbours(u) & self._neighbours(w) != apexes:
-            return False
-        # Given that, the links share an edge only between two apexes.
-        return not any(tuple(sorted((u, x, y))) in self.facets
-                       and tuple(sorted((w, x, y))) in self.facets
-                       for x, y in combinations(apexes, 2))
-
-    def pop_admissible(self):
-        """Lex-first admissible edge, popped off the heap, or None."""
-        while self.heap:
-            e = heappop(self.heap)
-            self.queued.discard(e)
-            if self.admissible(*e):
-                return e
-        return None
-
-    def contract(self, u: int, w: int):
-        """Merge w into u as contract_edge does, then queue the edges at
-        the old neighbours of w for a fresh test."""
-        near = self._neighbours(w)
-        moved = self.star.pop(w)
-        for s in moved:
-            self.facets.discard(s)
-            for v in s:
-                if v != w:
-                    self.star[v].discard(s)
-        for s in moved:
-            if u not in s:
-                t = tuple(sorted(u if v == w else v for v in s))
-                if t not in self.facets:
-                    self._add(t)
-        for x in near:
-            for y in self._neighbours(x):
-                e = (x, y) if x < y else (y, x)
-                if e not in self.queued:
-                    self.queued.add(e)
-                    heappush(self.heap, e)
+            star[v].add(s)
+    return star
 
 
-def _confirm(K: SimplicialComplex, u: int, w: int):
-    """Raise unless default_admissible agrees with the index on K."""
-    if not default_admissible(K, u, w):
-        raise RuntimeError("star index accepted edge (%d, %d), "
-                           "default_admissible rejects it" % (u, w))
+def _neighbours(star: dict, v: int) -> set:
+    """The vertices that share a facet with v."""
+    return {x for s in star[v] for x in s if x != v}
+
+
+def _star_admissible(K: SimplicialComplex, star: dict, u: int, w: int) -> bool:
+    """default_admissible(K, u, w), read off the stars of u and w."""
+    through = [s for s in star[u] if w in s]
+    if not K.d - 1 <= len(through) < K.num_facets:
+        return False
+    if K.d != 3:
+        return True
+    apexes = {x for s in through for x in s} - {u, w}
+    if _neighbours(star, u) & _neighbours(star, w) != apexes:
+        return False
+    # Given that, the links share an edge only between two apexes.
+    return not any(tuple(sorted((u, x, y))) in star[u]
+                   and tuple(sorted((w, x, y))) in star[w]
+                   for x, y in combinations(apexes, 2))
 
 
 def _admissible_edge(K: SimplicialComplex):
-    """First edge in lex order that default_admissible accepts, or None."""
-    e = _StarIndex(K).pop_admissible()
-    if e is not None:
-        _confirm(K, *e)
-    return e
+    """First edge in lex order that default_admissible accepts, or None.
+
+    The edges are walked as u ascending, then w > u among u's neighbours
+    ascending, each tested on the stars of K (_star_admissible).  One
+    default_admissible call confirms the edge found, and a disagreement
+    raises RuntimeError.
+    """
+    star = _stars(K)
+    for u in star:
+        for w in sorted(x for x in _neighbours(star, u) if x > u):
+            if _star_admissible(K, star, u, w):
+                if not default_admissible(K, u, w):
+                    raise RuntimeError("star test accepted edge (%d, %d), "
+                                       "default_admissible rejects it"
+                                       % (u, w))
+                return u, w
+    return None
 
 
 def contraction_reduce(K: SimplicialComplex):
@@ -274,23 +229,16 @@ def contraction_reduce(K: SimplicialComplex):
     point and the contraction log.
 
     Every round contracts the lex-first edge, in the current labels,
-    that default_admissible accepts.  A _StarIndex finds that edge and
-    is updated near the merged vertex; one default_admissible call
-    confirms the edge and one contract_edge call builds the next
-    complex.  So a round costs the local index updates plus those two
-    O(f) passes over the f facets, not an O(f) test per edge.
-    Terminates because every contraction loses one vertex.
+    that default_admissible accepts: _admissible_edge reads it off the
+    stars of the current complex and confirms it, and one contract_edge
+    call builds the next complex.  So a round costs a few O(f) passes
+    over the f facets, not an O(f) test per edge.  Terminates because
+    every contraction loses one vertex.
     """
-    index = _StarIndex(K)
-    gone = []  # original labels of the contracted-away vertices, sorted
     log = []
-    while (e := index.pop_admissible()) is not None:
-        u, w = (v - bisect_left(gone, v) for v in e)
-        _confirm(K, u, w)
-        K = contract_edge(K, u, w)
-        index.contract(*e)
-        insort(gone, e[1])
-        log.append((u, w))
+    while (e := _admissible_edge(K)) is not None:
+        K = contract_edge(K, *e)
+        log.append(e)
     return K, log
 
 

@@ -101,6 +101,10 @@ def test_union_complex():
     U = union_complex(A, B)
     assert U.n == 5
     assert U.facets == ((1, 2, 3), (2, 3, 5))
+    # Vertices without a facet still count: 6 and 7 stay.
+    W = union_complex(build_complex(7, [(1, 2, 3)]), B)
+    assert W.n == 7
+    assert W.facets == U.facets
     with pytest.raises(MixedDimension):
         union_complex(A, build_complex(3, [(1, 2)]))
 

@@ -279,11 +279,29 @@ def test_contraction_reduce_fixed_points():
         assert reference_admissible_edge(fixed) is None
 
 
+def lex_scan_complexes(rng):
+    """Random pure complexes, most of them not manifolds, in d = 2, 3, 4."""
+    return [random_complex(rng, rng.randint(d + 1, 8), d)
+            for d in (2, 3, 4) for _ in range(60)]
+
+
+def test_star_test_matches_default_admissible_on_every_edge():
+    complexes = (lex_scan_complexes(fresh_rng(37))
+                 + stacked_surfaces(fresh_rng(31)) + [octahedron(), tetra()])
+    accepted = rejected = 0
+    for K in complexes:
+        star = cycles._stars(K)
+        for u, w in k_faces(K, 1):
+            verdict = default_admissible(K, u, w)
+            assert cycles._star_admissible(K, star, u, w) == verdict
+            accepted += verdict
+            rejected += not verdict
+    assert accepted > 100 and rejected > 100
+
+
 def test_contraction_reduce_matches_lex_scan():
-    # Random pure complexes, most of them not manifolds, in d = 2, 3, 4.
     rng = fresh_rng(37)
-    complexes = [random_complex(rng, rng.randint(d + 1, 8), d)
-                 for d in (2, 3, 4) for _ in range(60)]
+    complexes = lex_scan_complexes(rng)
     complexes += [stacked_sphere(rng, d, 12) for d in (3, 4)]
     # Contracting (3, 8) makes (1, 2) admissible although neither end is
     # a neighbour of the merged vertex 3 afterwards.
