@@ -113,12 +113,17 @@ def parse_manifest(text: str) -> list:
 
 
 def write_dataset(dirpath: str, complexes, provenance: str) -> None:
-    """Inverse of load_dataset; complex i goes to cNN.txt, in order."""
+    """Inverse of load_dataset; complex i goes to cNN.txt, in order.  What
+    load_dataset would refuse, a complex listed twice included, is
+    refused before anything is written."""
     lines = [line.strip() for line in provenance.split("\n") if line.strip()]
     if not all(line.startswith("#") for line in lines):
         raise DatasetError("provenance lines must start with '#'")
     if not provenance.isascii():
         raise DatasetError("provenance must be ASCII")
+    complexes = list(complexes)
+    if len(set(complexes)) < len(complexes):
+        raise DatasetError("a complex is listed twice (equal sha256)")
     os.makedirs(dirpath, exist_ok=True)
     for i, K in enumerate(complexes):
         path = os.path.join(dirpath, "c%02d.txt" % i)

@@ -38,15 +38,21 @@ RigidityReport = namedtuple(
 
 
 def random_placement(n: int, d: int, seed: int, field=None) -> Placement:
-    """Placement with coordinates drawn uniformly from a prime field."""
+    """Placement with coordinates drawn uniformly from a prime field, or
+    over QQ from the integers -999..999, row by row from Random(seed)."""
     if d < 2:
         raise BadParameters("facet cardinality must be at least 2")
     if n < 1:
         raise BadParameters("need at least one vertex")
     if field is None:
         field = default_field()
-    m = sample_generic_matrix(n, d - 1, seed, field=field)
-    coords = {v: tuple(m.data[v - 1]) for v in range(1, n + 1)}
+    if field.q is None:
+        rng = random.Random(seed)
+        rows = [[field.of(rng.randrange(-999, 1000)) for _ in range(d - 1)]
+                for _ in range(n)]
+    else:
+        rows = sample_generic_matrix(n, d - 1, seed, field=field).data
+    coords = {v: tuple(rows[v - 1]) for v in range(1, n + 1)}
     return Placement(d=d, coords=coords, field=field)
 
 
@@ -248,7 +254,9 @@ def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
     cofactor of degree d-2 in the coordinates, so a rank-r minor has
     degree at most r(d-2); by Schwartz-Zippel one trial misses rank r
     with probability at most r(d-2)/q, and all t independent trials miss
-    with probability at most (r(d-2)/q)^t.  Every trial runs.
+    with probability at most (r(d-2)/q)^t.  Over QQ the coordinates come
+    from a box of 1999 integers, so the bound per trial is r(d-2)/1999.
+    Every trial runs.
     """
     return _placement_ranks(K, trials, seed, field, None)
 
@@ -300,20 +308,6 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
 
 
 def rational_rank(K: SimplicialComplex, seed: int = 0) -> int:
-    """Rank over the rationals at one random integer placement.
-
-    Provided for cross-checks on small instances; entries are sampled
-    in a fixed small integer box so determinants stay readable.  The
-    rank is taken in the minimum-degree elimination order of
-    generic_rank, which does not change it but keeps the sparse matrix
-    from filling in with large fractions.
-    """
-    if K.d < 2:
-        raise BadParameters("facet cardinality must be at least 2")
-    check_dense_size((K.d - 1) * K.n, K.num_facets, "rigidity matrix")
-    rng = random.Random(seed)
-    coords = {v: tuple(QQ.of(rng.randrange(-999, 1000))
-                       for _ in range(K.d - 1))
-              for v in range(1, K.n + 1)}
-    p = Placement(d=K.d, coords=coords, field=QQ)
-    return _ordered_rank(K, p, _min_degree_order(K.n, K.facets))
+    """Rank over the rationals at the one integer placement seed, through
+    generic_rank's loop: provided for cross-checks on small instances."""
+    return _placement_ranks(K, 1, seed, QQ, None).generic_rank

@@ -114,6 +114,8 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
     """
     sigma = as_face(sigma)
     k = len(sigma)
+    if not k:
+        raise BadParameters("sigma must have at least one label")
     if k > K.d:
         raise SizeExceedsDimension("|sigma|=%d exceeds facet cardinality %d"
                                    % (k, K.d))
@@ -256,9 +258,7 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     set (linalg.echelon_insert, which never changes the rows it is given)
     instead of inserting every predecessor's vector anew.  A span of full
     dimension (one row per size-k face of K) admits no member above it,
-    so such a set skips the merge and its own vector.  Covers share the
-    set's first label or the one before, so memoised spans are dropped
-    once the first label has moved two past theirs.
+    so such a set skips the merge and its own vector.
     """
     if order == "lex":
         return shifted_level_ordered(
@@ -268,14 +268,10 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
     face_rows = _face_rows(K, k, basis)
     field = basis.field
-    vecs = {}
-    first, prev, cur = 1, {}, {}
+    vecs, spans = {}, {}
     for sigma in combinations(range(1, basis.n + 1), k):
-        if sigma[0] != first:
-            first, prev, cur = sigma[0], cur, {}
         # Only the first set, before any member, has no cover.
-        slot, rows = max(((i, (cur if tau[0] == first else prev)[tau])
-                          for i, tau in _covers(sigma)),
+        slot, rows = max(((i, spans[tau]) for i, tau in _covers(sigma)),
                          key=lambda c: len(c[1]), default=(0, []))
         if len(rows) < len(face_rows):
             rows = list(rows)
@@ -289,7 +285,7 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
             if row:
                 rows.append(row)
                 vecs[sigma] = vec
-        cur[sigma] = rows
+        spans[sigma] = rows
     return sorted(vecs)
 
 

@@ -134,11 +134,13 @@ def test_write_dataset_round_trip(tmp_path):
     ds = load_dataset(root)
     assert ds.complexes == tuple(complexes)
     assert ds.provenance == "# surface: none\n# second line"
-    # A provenance that would not load back is refused before any write.
-    for provenance in ("surface", "# caf\u00e9"):
+    # A provenance or a repeated complex that would not load back is
+    # refused before any write.
+    for bad, provenance in (([tetra()], "surface"),
+                            ([tetra()], "# caf\u00e9"),
+                            ([tetra(), tetra()], "# x")):
         with pytest.raises(DatasetError) as err:
-            write_dataset(os.path.join(tmp_path, "bad"), [tetra()],
-                          provenance)
+            write_dataset(os.path.join(tmp_path, "bad"), bad, provenance)
         assert err.type is DatasetError
         assert not os.path.exists(os.path.join(tmp_path, "bad"))
 

@@ -23,8 +23,9 @@ from volrig.rigidity import (Placement, columns_independent, generic_rank,
                              trivial_motion_basis)
 from volrig.shifting import (_predecessors, characteristic_membership,
                              compound_vector, generic_basis,
-                             placement_from_basis, shifted_level,
-                             shifted_level_stable, wedge_map_matrix)
+                             in_shifted_family, placement_from_basis,
+                             shifted_level, shifted_level_stable,
+                             wedge_map_matrix)
 from volrig.sparsity import (SparsityParams, build_counterexample,
                              is_sparse)
 
@@ -70,6 +71,11 @@ CHECKS = [
     ("compound_vector sigma beyond the basis",
      lambda: compound_vector(generic_basis(3), tetra(), (1, 2, 4)),
      VertexOutOfRange),
+    ("compound_vector empty sigma",
+     lambda: compound_vector(generic_basis(4), tetra(), ()), BadParameters),
+    ("in_shifted_family empty sigma",
+     lambda: in_shifted_family(tetra(), (), generic_basis(4)),
+     BadParameters),
     ("_predecessors bad order",
      lambda: _predecessors((1, 2), 3, "revlex"), BadParameters),
     ("shifted_level bad order",

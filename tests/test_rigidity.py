@@ -210,6 +210,22 @@ def _placement(rng, n, d, field):
     return random_placement(n, d, rng.randrange(10 ** 6), field=field)
 
 
+def test_rational_placement_is_the_integer_stream():
+    # `rank --exact` prints rational_rank, so its placement is pinned:
+    # the integers -999..999 drawn from Random(seed), row by row, and
+    # ranked by the same loop as every generic rank over QQ.
+    for n, d, seed in ((4, 2, 0), (7, 3, 5), (6, 4, 11), (9, 5, 123)):
+        rng = fresh_rng(seed)
+        coords = {v: tuple(QQ.of(rng.randrange(-999, 1000))
+                           for _ in range(d - 1)) for v in range(1, n + 1)}
+        assert random_placement(n, d, seed, QQ).coords == coords
+    for K in (tetra(), octahedron(), cone(bipartite_complete_graph()),
+              stacked_sphere(fresh_rng(4), 4, 9)):
+        for seed in (0, 3):
+            assert rational_rank(K, seed) == generic_rank(
+                K, trials=1, seed=seed, field=QQ).generic_rank
+
+
 def _assert_ordered_rank_is_rank(rng, K, field):
     p = _placement(rng, K.n, K.d, field)
     rank = _ordered_rank(K, p, _min_degree_order(K.n, K.facets))
