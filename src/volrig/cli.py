@@ -47,6 +47,15 @@ def _suffix(arith: str, trials=None) -> str:
     return "(trials=%d, %s)" % (trials, arith)
 
 
+def _verdict(word: str, ok, arith: str, trials=None) -> str:
+    """`WORD yes (suffix)` or `WORD no (suffix)`."""
+    return "%s %s %s" % (word, "yes" if ok else "no", _suffix(arith, trials))
+
+
+def _shape(K) -> str:
+    return "n %d d %d facets %d" % (K.n, K.d, K.num_facets)
+
+
 def _face_str(face) -> str:
     return " ".join(str(v) for v in face)
 
@@ -81,7 +90,7 @@ def _exact_rank_line(K, args, lines, obj):
 def _cmd_rank(args, field, K):
     """rank, and rigid, whose verdict an --exact rank can lift to RIGID."""
     rep = generic_rank(K, trials=args.trials, seed=args.seed, field=field)
-    lines = ["n %d d %d facets %d" % (K.n, K.d, K.num_facets),
+    lines = [_shape(K),
              "trial-ranks %s" % ",".join(str(r) for r in rep.trial_ranks),
              "rank %d target %d %s" % (rep.generic_rank, rep.target_rank,
                                        _suffix(rep.arithmetic, rep.trials))]
@@ -114,8 +123,7 @@ def _cmd_sigma0(args, field, K):
     rep = characteristic_membership(K, trials=args.trials, seed=args.seed,
                                     field=field)
     lines = ["face %s" % _face_str(rep.face),
-             "MEMBER %s %s" % ("yes" if rep.member else "no",
-                               _suffix(rep.arithmetic, rep.trials))]
+             _verdict("MEMBER", rep.member, rep.arithmetic, rep.trials)]
     obj = rep._asdict()
     return (0 if rep.member else 1), lines, obj
 
@@ -141,47 +149,43 @@ def _cmd_psi(args, field, _):
     return 0, lines, obj
 
 
-def _params_for(args, K) -> SparsityParams:
+def _params_for(args, K) -> tuple:
+    """The sparsity counts, their report line and their JSON keys."""
     if (args.a is None) != (args.b is None):
         raise VolrigError("--a and --b must be given together")
-    if args.a is None:
-        return SparsityParams.volume_regime(K.d)
-    return SparsityParams(a=args.a, b=args.b, d=K.d)
+    params = (SparsityParams.volume_regime(K.d) if args.a is None
+              else SparsityParams(a=args.a, b=args.b, d=K.d))
+    return params, "params a %d b %d d %d" % params, params._asdict()
 
 
 def _cmd_sparsity(args, field, K):
-    params = _params_for(args, K)
+    params, line, obj = _params_for(args, K)
     ok, witness = is_sparse(K, params)
-    lines = ["params a %d b %d d %d" % (params.a, params.b, params.d),
-             "SPARSE %s %s" % ("yes" if ok else "no", _suffix("exact"))]
+    lines = [line, _verdict("SPARSE", ok, "exact")]
     if witness is not None:
         lines.append("witness %s" % _face_str(witness))
-    obj = {"a": params.a, "b": params.b, "d": params.d,
-           "sparse": ok, "witness": list(witness) if witness else None,
-           "arithmetic": "exact"}
+    obj.update(sparse=ok, witness=list(witness) if witness else None,
+               arithmetic="exact")
     return (0 if ok else 1), lines, obj
 
 
 def _cmd_tight(args, field, K):
-    params = _params_for(args, K)
+    params, line, obj = _params_for(args, K)
     tight = is_tight(K, params)
-    lines = ["params a %d b %d d %d" % (params.a, params.b, params.d),
-             "facets %d bound %d" % (K.num_facets, params.bound(K.n)),
-             "TIGHT %s %s" % ("yes" if tight else "no", _suffix("exact"))]
-    obj = {"a": params.a, "b": params.b, "d": params.d,
-           "facets": K.num_facets, "bound": params.bound(K.n),
-           "tight": tight, "arithmetic": "exact"}
+    bound = params.bound(K.n)
+    lines = [line, "facets %d bound %d" % (K.num_facets, bound),
+             _verdict("TIGHT", tight, "exact")]
+    obj.update(facets=K.num_facets, bound=bound, tight=tight,
+               arithmetic="exact")
     return (0 if tight else 1), lines, obj
 
 
 def _cmd_complete_basis(args, field, K):
-    params = _params_for(args, K)
+    params, line, obj = _params_for(args, K)
     result = complete_to_sparse_basis(K, params)
     added = result.num_facets - K.num_facets
-    lines = ["params a %d b %d d %d" % (params.a, params.b, params.d),
-             "added %d" % added,
-             "n %d d %d facets %d" % (result.n, result.d, result.num_facets)]
-    obj = {"a": params.a, "b": params.b, "d": params.d, "added": added}
+    lines = [line, "added %d" % added, _shape(result)]
+    obj["added"] = added
     _payload(args, result, lines, obj)
     return 0, lines, obj
 
@@ -198,12 +202,9 @@ def _cmd_counterexample(args, field, _):
     rep = generic_rank(K, trials=args.trials, seed=args.seed, field=field)
     mem = characteristic_membership(K, trials=args.trials, seed=args.seed,
                                     field=field)
-    lines = ["n %d d %d facets %d" % (K.n, K.d, K.num_facets),
-             "TIGHT %s %s" % ("yes" if tight else "no", _suffix("exact")),
-             "RIGID %s %s" % ("yes" if rep.is_rigid else "no",
-                              _suffix(rep.arithmetic, rep.trials)),
-             "SIGMA0 %s %s" % ("yes" if mem.member else "no",
-                               _suffix(mem.arithmetic, mem.trials))]
+    lines = [_shape(K), _verdict("TIGHT", tight, "exact"),
+             _verdict("RIGID", rep.is_rigid, rep.arithmetic, rep.trials),
+             _verdict("SIGMA0", mem.member, mem.arithmetic, mem.trials)]
     obj = {"n": K.n, "d": K.d, "num_facets": K.num_facets, "tight": tight,
            "is_rigid": rep.is_rigid, "rank": rep.generic_rank,
            "target": rep.target_rank, "member": mem.member}
@@ -222,16 +223,13 @@ def _cmd_contract(args, field, K):
         except ValueError:
             raise VolrigError("--edge wants two integers")
         result = contract_edge(K, u, w)
-        lines = ["contracted %d %d" % (u, w),
-                 "n %d d %d facets %d" % (result.n, result.d,
-                                          result.num_facets)]
+        lines = ["contracted %d %d" % (u, w), _shape(result)]
         obj = {"edge": [u, w]}
     else:
         result, log = contraction_reduce(K)
         lines = ["steps %d" % len(log),
                  "log %s" % ";".join("%d,%d" % e for e in log),
-                 "n %d d %d facets %d" % (result.n, result.d,
-                                          result.num_facets)]
+                 _shape(result)]
         obj = {"steps": len(log), "log": [list(e) for e in log]}
     _payload(args, result, lines, obj)
     return 0, lines, obj
@@ -243,8 +241,7 @@ def _cmd_homology(args, field, K):
     minimal = spans_minimal_cycle(space)
     arith = coeff.describe()
     lines = ["cycle-dim %d %s" % (space.ncols, _suffix(arith)),
-             "MINIMAL-CYCLE %s %s" % ("yes" if minimal else "no",
-                                      _suffix(arith))]
+             _verdict("MINIMAL-CYCLE", minimal, arith)]
     obj = {"cycle_dim": space.ncols, "minimal": minimal, "arithmetic": arith}
     return 0, lines, obj
 
@@ -253,8 +250,8 @@ def _cmd_boundary_id(args, field, _):
     failures = random_identity_sweep(args.samples, seed=args.seed,
                                      field=field)
     lines = ["samples %d failures %d" % (args.samples, failures),
-             "IDENTITY %s %s" % ("yes" if failures == 0 else "no",
-                                 _suffix(field.describe(), args.samples))]
+             _verdict("IDENTITY", failures == 0, field.describe(),
+                      args.samples)]
     obj = {"samples": args.samples, "failures": failures}
     return (0 if failures == 0 else 1), lines, obj
 

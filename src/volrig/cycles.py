@@ -12,7 +12,7 @@ and drives edge-contraction reduction of surface triangulations.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from itertools import combinations
 
 from .complexes import (SimplicialComplex, as_face, build_complex,
@@ -91,16 +91,8 @@ def chain_vector(K: SimplicialComplex, chain: dict, field):
 
 def chain_boundary(K: SimplicialComplex, chain: dict, field) -> dict:
     """Boundary coefficients on cardinality d-1 faces, sparse."""
-    vec = chain_vector(K, chain, field)
-    out = {}
-    for s, z in zip(K.facets, vec):
-        if z == 0:
-            continue
-        for j, v in enumerate(s, start=1):
-            tau = tuple(u for u in s if u != v)
-            term = field.neg(z) if j % 2 else z
-            out[tau] = field.add(out.get(tau, field.zero), term)
-    return {t: c for t, c in out.items() if c != 0}
+    vec = boundary_matrix(K, field).mul_vec(chain_vector(K, chain, field))
+    return {t: c for t, c in zip(k_faces(K, K.d - 2), vec) if c != 0}
 
 
 def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
@@ -175,8 +167,9 @@ def default_admissible(K: SimplicialComplex, u: int, w: int) -> bool:
 
 
 def _stars(K: SimplicialComplex) -> dict:
-    """Vertex v -> the set of K's facets through v, for v in 1..n."""
-    star = {v: set() for v in range(1, K.n + 1)}
+    """Vertex v -> the set of K's facets through v, for each v in a facet;
+    no label that occurs in no facet costs anything."""
+    star = defaultdict(set)
     for s in K.facets:
         for v in s:
             star[v].add(s)
@@ -213,7 +206,7 @@ def _admissible_edge(K: SimplicialComplex):
     raises RuntimeError.
     """
     star = _stars(K)
-    for u in star:
+    for u in sorted(star):
         for w in sorted(x for x in _neighbours(star, u) if x > u):
             if _star_admissible(K, star, u, w):
                 if not default_admissible(K, u, w):

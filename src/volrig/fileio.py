@@ -8,6 +8,9 @@ separated.  A trailing newline is optional on read and always written.
 A dataset directory, as write_dataset writes and load_dataset reads it,
 holds complex files and a `manifest.txt` of `#` provenance lines and
 `name n f sha256` lines, each name plain and no name or sha256 twice.
+
+`_records` is the one line reader of both: it alone decides what is a
+blank or `#` comment line, a field and a line number.
 """
 
 from __future__ import annotations
@@ -23,35 +26,39 @@ ENV_DATA_DIR = "VOLRIG_DATA"
 SurfaceDataset = namedtuple("SurfaceDataset", "name d complexes provenance")
 
 
-def parse_complex(text: str) -> SimplicialComplex:
-    lines = text.split("\n")
-    header = None
-    header_line = 0
-    facets = []
-    for no, raw in enumerate(lines, start=1):
+def _records(text: str, comments: list | None = None):
+    """(line number, fields) of each line that is neither blank nor a `#`
+    comment, numbered from 1; the stripped comment lines go to comments."""
+    for no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError("header needs exactly `n d`", no)
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError("header entries must be integers", no)
-            header_line = no
-            continue
-        if len(parts) != header[1]:
-            raise ParseError("expected %d labels, found %d"
-                             % (header[1], len(parts)), no)
-        try:
-            facets.append(tuple(int(x) for x in parts))
-        except ValueError:
-            raise ParseError("vertex labels must be integers", no)
-    if header is None:
+        if line.startswith("#"):
+            if comments is not None:
+                comments.append(line)
+        elif line:
+            yield no, line.split()
+
+
+def _ints(parts: list, what: str, no: int) -> tuple:
+    try:
+        return tuple(int(x) for x in parts)
+    except ValueError:
+        raise ParseError("%s must be integers" % what, no)
+
+
+def parse_complex(text: str) -> SimplicialComplex:
+    records = _records(text)
+    header_line, parts = next(records, (0, None))
+    if parts is None:
         raise ParseError("empty input, no header line")
-    n, d = header
+    if len(parts) != 2:
+        raise ParseError("header needs exactly `n d`", header_line)
+    n, d = _ints(parts, "header entries", header_line)
+    facets = []
+    for no, parts in records:
+        if len(parts) != d:
+            raise ParseError("expected %d labels, found %d" % (d, len(parts)),
+                             no)
+        facets.append(_ints(parts, "vertex labels", no))
     if d < 1:
         raise ParseError("facet cardinality must be positive", header_line)
     return build_complex(n, facets)
@@ -94,30 +101,24 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _manifest_entry(no: int, parts: list) -> tuple:
+    if len(parts) != 4:
+        raise ParseError("manifest line needs `file n f sha256`", no)
+    n, f = _ints(parts[1:3], "manifest counts", no)
+    return parts[0], n, f, parts[3].lower()
+
+
 def parse_manifest(text: str) -> list:
     """[(filename, n, f, checksum)] in file order; `#` lines ignored."""
-    entries = []
-    for no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ParseError("manifest line needs `file n f sha256`", no)
-        try:
-            entries.append((parts[0], int(parts[1]), int(parts[2]),
-                            parts[3].lower()))
-        except ValueError:
-            raise ParseError("manifest counts must be integers", no)
-    return entries
+    return [_manifest_entry(no, parts) for no, parts in _records(text)]
 
 
 def write_dataset(dirpath: str, complexes, provenance: str) -> None:
     """Inverse of load_dataset; complex i goes to cNN.txt, in order.  What
     load_dataset would refuse, a complex listed twice included, is
     refused before anything is written."""
-    lines = [line.strip() for line in provenance.split("\n") if line.strip()]
-    if not all(line.startswith("#") for line in lines):
+    lines = []
+    if next(_records(provenance, lines), None) is not None:
         raise DatasetError("provenance lines must start with '#'")
     if not provenance.isascii():
         raise DatasetError("provenance must be ASCII")
@@ -144,11 +145,12 @@ def load_dataset(dirpath: str, name: str | None = None) -> SurfaceDataset:
         manifest_text = _ascii_text(manifest_path)
     except ParseError as e:
         raise DatasetError("manifest.txt %s" % e) from None
-    provenance = "\n".join(line.strip() for line in manifest_text.split("\n")
-                           if line.strip().startswith("#"))
+    comments = []
+    entries = [_manifest_entry(no, parts)
+               for no, parts in _records(manifest_text, comments)]
     complexes = []
     names, checksums = set(), set()
-    for fname, n, f, checksum in parse_manifest(manifest_text):
+    for fname, n, f, checksum in entries:
         if fname != os.path.basename(fname) or fname in (".", ".."):
             raise DatasetError("manifest: %s is not a plain file name" % fname)
         if fname in names or checksum in checksums:
@@ -175,7 +177,7 @@ def load_dataset(dirpath: str, name: str | None = None) -> SurfaceDataset:
         raise DatasetError("dataset mixes facet cardinalities")
     return SurfaceDataset(name=name or os.path.basename(os.path.normpath(dirpath)),
                           d=d, complexes=tuple(complexes),
-                          provenance=provenance)
+                          provenance="\n".join(comments))
 
 
 def dataset_root() -> str | None:

@@ -1,5 +1,6 @@
 """Boundary operators, minimal cycles, facet removal, contraction."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -80,6 +81,8 @@ def test_chain_vector_and_boundary():
     assert set(single) == {(1, 2), (1, 3), (2, 3)}
     with pytest.raises(ChainOutsideComplex):
         chain_vector(K, {(1, 2, 5): 1}, QQ)
+    with pytest.raises(BadParameters):
+        chain_boundary(build_complex(2, [(1,), (2,)]), {(1,): 1}, QQ)
 
 
 def test_identity_on_zero_chain():
@@ -268,10 +271,19 @@ def stacked_surfaces(rng):
 
 
 def test_contraction_reduce_fixed_points():
-    for K in (tetra(), csaszar_torus(), projective_plane_six()):
-        fixed, log = contraction_reduce(K)
+    # The last input declares 200000 labels of which four occur: only
+    # those get a star, so the reduction stays far below a megabyte.
+    for K in (tetra(), csaszar_torus(), projective_plane_six(),
+              build_complex(200000, tetra().facets)):
+        tracemalloc.start()
+        try:
+            fixed, log = contraction_reduce(K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert fixed == K
         assert log == []
+        assert peak < 1 << 20
     for K in stacked_surfaces(fresh_rng(31)):
         fixed, log = contraction_reduce(K)
         assert (fixed, log) == reference_reduce(K)

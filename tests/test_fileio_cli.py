@@ -43,20 +43,23 @@ def test_parse_complex_missing_trailing_newline():
 
 
 def test_parse_complex_errors_carry_line_numbers():
-    with pytest.raises(ParseError) as err:
-        parse_complex("4 3\n1 2 3\n1 2\n")
-    assert "line 3" in str(err.value)
-    with pytest.raises(ParseError) as err:
-        parse_complex("4 x\n1 2 3\n")
-    assert "line 1" in str(err.value)
-    with pytest.raises(ParseError):
-        parse_complex("4 3\n1 two 3\n")
-    with pytest.raises(ParseError):
-        parse_complex("# only comments\n\n")
-    with pytest.raises(ParseError):
-        parse_complex("4 0\n")
-    with pytest.raises(ParseError):
-        parse_complex("4\n1 2 3\n")
+    # Comment and blank lines count, CRLF endings do not add lines, and
+    # the facet cardinality is checked only after every facet line.
+    for text, message in (
+            ("4 3\n1 2 3\n1 2\n", "line 3: expected 3 labels, found 2"),
+            ("4 x\n1 2 3\n", "line 1: header entries must be integers"),
+            ("4 3\n1 two 3\n", "line 2: vertex labels must be integers"),
+            ("# only comments\n\n", "empty input, no header line"),
+            ("", "empty input, no header line"),
+            ("4 0\n", "line 1: facet cardinality must be positive"),
+            ("\n# c\n4 -1\n\n", "line 3: facet cardinality must be positive"),
+            ("4 0\n1 2 3", "line 2: expected 0 labels, found 3"),
+            ("4\n1 2 3\n", "line 1: header needs exactly `n d`"),
+            ("# c\r\n\r\n4 3\r\n1 2 3\r\n# c\r\n1 2\r\n",
+             "line 6: expected 3 labels, found 2")):
+        with pytest.raises(ParseError) as err:
+            parse_complex(text)
+        assert str(err.value) == message
 
 
 def test_format_complex_canonical():
@@ -76,10 +79,18 @@ def test_parse_manifest():
     text = "# comment\nocta.txt 6 8 ABCD\n\ntetra.txt 4 4 ef01\n"
     assert parse_manifest(text) == [("octa.txt", 6, 8, "abcd"),
                                     ("tetra.txt", 4, 4, "ef01")]
-    with pytest.raises(ParseError):
-        parse_manifest("octa.txt 6 8\n")
-    with pytest.raises(ParseError):
-        parse_manifest("octa.txt six 8 abcd\n")
+    for text, message in (
+            ("octa.txt 6 8\n",
+             "line 1: manifest line needs `file n f sha256`"),
+            ("# c\n\nocta.txt six 8 abcd\n",
+             "line 3: manifest counts must be integers"),
+            ("a 1 2 ab\r\nocta.txt 6 8.0 abcd\r\n",
+             "line 2: manifest counts must be integers"),
+            ("a 1 2 ab\nb 1 2 ab cd\n",
+             "line 2: manifest line needs `file n f sha256`")):
+        with pytest.raises(ParseError) as err:
+            parse_manifest(text)
+        assert str(err.value) == message
 
 
 def test_load_dataset(tmp_path):
