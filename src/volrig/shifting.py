@@ -13,9 +13,9 @@ vectors of all strictly smaller sets, in the chosen order on sets.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate, combinations, takewhile
+from itertools import accumulate, combinations, groupby, takewhile
 from math import comb
-from operator import le
+from operator import le, mul
 
 from .complexes import SimplicialComplex, as_face, k_faces
 from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
@@ -184,14 +184,62 @@ def _predecessor_span(K: SimplicialComplex, sigma, basis: GenericBasis,
                       order: str) -> ExactMatrix:
     """Columns: the compound vectors of sigma's order-predecessors, in
     _predecessors order; rows: K's size-k faces.  The size guard counts
-    the predecessors before they are listed."""
-    face_rows = _face_rows(K, len(sigma), basis)
+    the predecessors before they are listed.
+
+    The entry at face F and set t is det B[F, t], B the basis matrix.
+    For k = 3 and 4 it is expanded along the column of t's last label:
+    sum over r of (-1)^(r+k-1) B[F_r, t_k] det B[F - F_r, t[:-1]], r
+    0-based.  The predecessors are lex sorted, so those sharing their
+    first k - 1 labels come together; per face and such group the k
+    cofactors are taken once (_expanded_row), and each set then costs
+    one k-term product.  The characteristic face's predecessors fall
+    into d - 1 groups.  For k <= 2, and for k >= 5, where a cofactor
+    of size 4 or more costs a reduction of its own rows (one per face
+    and r, instead of one per face), each entry is basis.minor.
+    """
+    k = len(sigma)
+    face_rows = _face_rows(K, k, basis)
     check_dense_size(len(face_rows), _predecessor_count(sigma, basis.n, order),
                      "predecessor span matrix")
     cols = [tuple(s - 1 for s in t)
             for t in _predecessors(sigma, basis.n, order)]
-    return ExactMatrix([[basis.minor(rows, c) for c in cols]
-                        for rows in face_rows], basis.field, _trusted=True)
+    if k in (3, 4):
+        groups = [(head, [t[-1] for t in ts])
+                  for head, ts in groupby(cols, key=lambda t: t[:-1])]
+        data = [_expanded_row(basis, rows, groups) for rows in face_rows]
+    else:
+        data = [[basis.minor(rows, c) for c in cols] for rows in face_rows]
+    return ExactMatrix(data, basis.field, _trusted=True)
+
+
+def _expanded_row(basis: GenericBasis, rows: tuple, groups: list) -> list:
+    """The entries det B[rows, head + (last,)] of one face, for each
+    (head, lasts) in groups and each last in lasts, by expansion along
+    the last column.  At k = 3 the 2 x 2 cofactors and the products are
+    written out, with one reduction mod q per entry (none over QQ); at
+    k = 4 the cofactors are basis.minor's closed-form 3 x 3 minors."""
+    data, q = basis.matrix.data, basis.field.q
+    vecs = [data[r] for r in rows]
+    out = []
+    if len(rows) == 3:
+        a, b, c = vecs
+        for (i, j), lasts in groups:
+            x = b[i] * c[j] - b[j] * c[i]
+            y = a[j] * c[i] - a[i] * c[j]
+            z = a[i] * b[j] - a[j] * b[i]
+            if q:
+                out += [(a[t] * x + b[t] * y + c[t] * z) % q for t in lasts]
+            else:
+                out += [a[t] * x + b[t] * y + c[t] * z for t in lasts]
+        return out
+    k = len(rows)
+    for head, lasts in groups:
+        cof = [basis.minor(rows[:r] + rows[r + 1:], head) for r in range(k)]
+        cof = [-x if (r + k - 1) % 2 else x for r, x in enumerate(cof)]
+        for t in lasts:
+            x = sum(map(mul, cof, [v[t] for v in vecs]))
+            out.append(x % q if q else x)
+    return out
 
 
 def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,

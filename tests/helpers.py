@@ -4,10 +4,10 @@ matrix operations only tests use."""
 import random
 from itertools import combinations
 
-from volrig import build_complex, cone, relabel
+from volrig import build_complex, cone, k_faces, relabel
 from volrig.fileio import write_dataset
 from volrig.linalg import ExactMatrix
-from volrig.shifting import componentwise_leq
+from volrig.shifting import _predecessors, componentwise_leq
 from volrig.sparsity import bipartite_complete_graph
 
 
@@ -161,3 +161,13 @@ def cofactor(m, i, j):
     minor = m.det([r for r in range(m.nrows) if r != i],
                   [c for c in range(m.ncols) if c != j])
     return m.field.neg(minor) if (i + j) % 2 else minor
+
+
+def predecessor_span_by_minors(K, sigma, basis, order):
+    """The entries of shifting._predecessor_span, one basis.minor each:
+    a row per size-k face of K and a column per predecessor of sigma."""
+    face_rows = [tuple(t - 1 for t in tau)
+                 for tau in k_faces(K, len(sigma) - 1)]
+    cols = [tuple(s - 1 for s in t)
+            for t in _predecessors(sigma, basis.n, order)]
+    return [[basis.minor(rows, c) for c in cols] for rows in face_rows]

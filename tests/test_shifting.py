@@ -8,16 +8,18 @@ import pytest
 
 import volrig.shifting
 from helpers import (cofactor, cone_with_smallest_apex, fresh_rng,
-                     random_complex, random_linear_extension,
-                     random_shifted_complex, stacked_sphere, submatrix, tetra)
+                     predecessor_span_by_minors, random_complex,
+                     random_linear_extension, random_shifted_complex,
+                     stacked_sphere, submatrix, tetra)
 from volrig import (build_complex, complete_complex, cone, k_faces)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            GenericityFailure, InstanceTooLarge,
                            SingularBasis, SizeExceedsDimension)
-from volrig.linalg import (ExactMatrix, PrimeField, default_field,
+from volrig.linalg import (QQ, ExactMatrix, PrimeField, default_field,
                            sample_generic_matrix)
 from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
-from volrig.shifting import (_predecessor_count, _predecessors,
+from volrig.shifting import (GenericBasis, _predecessor_count,
+                             _predecessor_span, _predecessors,
                              characteristic_face,
                              characteristic_membership,
                              characteristic_prefix, componentwise_leq,
@@ -364,6 +366,65 @@ def test_shifted_level_stable_retries_one_round(monkeypatch):
                         lambda K, k, seed, order: [(seed,)])
     with pytest.raises(GenericityFailure):
         shifted_level_stable(tetra(), 3, seed=5)
+
+
+def _span_sets(rng, d, n, k):
+    """Sets of size k whose predecessor spans are compared: the
+    characteristic face at k = d, the last size-k set and a random one."""
+    sets = [tuple(range(n - k + 1, n + 1)),
+            tuple(sorted(rng.sample(range(1, n + 1), k)))]
+    if k == d:
+        sets.append(characteristic_face(d, n))
+    return sets
+
+
+def test_predecessor_span_matches_minors():
+    # Entry for entry against one basis.minor per entry, for every k the
+    # expansion along the last label covers (3 and 4) and the sizes that
+    # keep basis.minor (2 and 5), in both orders, on stacked spheres and
+    # random complexes.  Over GF(5), GF(7) and GF(13) a drawn basis is
+    # singular now and then; generic_basis then raises SingularBasis and
+    # the next seed is tried, so every complex is still compared.
+    rng = fresh_rng(71)
+    for field in (GF, PrimeField(13), PrimeField(7), PrimeField(5)):
+        for d in (3, 4, 5):
+            n = d + 2
+            for K in (stacked_sphere(rng, d, n), random_complex(rng, n, d)):
+                seed = rng.randrange(10 ** 6)
+                while True:
+                    try:
+                        b = generic_basis(n, seed=seed, field=field)
+                        break
+                    except SingularBasis:
+                        seed += 1
+                for k in range(2, d + 1):
+                    for sigma in _span_sets(rng, d, n, k):
+                        for order in ("p", "lex"):
+                            want = predecessor_span_by_minors(K, sigma, b,
+                                                              order)
+                            got = _predecessor_span(K, sigma, b, order)
+                            assert got.data == want
+
+
+def test_predecessor_span_matches_minors_over_qq():
+    # generic_basis samples only prime fields, so the QQ basis is built
+    # by hand: ones in the first column and small integers elsewhere.
+    # This runs the expansion's unreduced branch.  Fraction arithmetic is
+    # slow, so n stays at 6 or below.
+    rng = fresh_rng(73)
+    for d in (3, 4, 5):
+        n = min(d + 2, 6)
+        data = [[1] + [rng.randint(-9, 9) for _ in range(n - 1)]
+                for _ in range(n)]
+        b = GenericBasis(n, ExactMatrix(data, QQ))
+        for K in (stacked_sphere(rng, d, n), random_complex(rng, n, d)):
+            for k in range(2, d + 1):
+                for sigma in _span_sets(rng, d, n, k):
+                    for order in ("p", "lex"):
+                        got = _predecessor_span(K, sigma, b, order)
+                        assert got.field == QQ
+                        assert got.data == predecessor_span_by_minors(
+                            K, sigma, b, order)
 
 
 def test_in_shifted_family_refuses_oversized_span_matrix():
