@@ -32,12 +32,12 @@ from .sparsity import (SparsityParams, build_counterexample,
 EXACT_SIZE_LIMIT = 24
 
 # Caps on --trials and --samples, checked before any input is read: run
-# time grows linearly in both, and sigma0 keeps every trial's basis and
-# minor memo until its verdict.  Every admitted rigidity matrix has
-# r(d-2) < 250,000 (r <= f, and (d-1)n f is within the entry limit), so
-# over the smallest table prime, 2^31 - 1, one trial misses the generic
-# rank with probability below 2^-13 (generic_rank's bound) and 64 trials
-# below 2^-800.
+# time grows linearly in both, and sigma0 keeps every trial's basis (with
+# its minor memo at d >= 5) until its verdict.  Every admitted rigidity
+# matrix has r(d-2) < 250,000 (r <= f, and (d-1)n f is within the entry
+# limit), so over the smallest table prime, 2^31 - 1, one trial misses the
+# generic rank with probability below 2^-13 (generic_rank's bound) and 64
+# trials below 2^-800.
 COUNT_CAPS = (("trials", 64), ("samples", 10000))
 
 

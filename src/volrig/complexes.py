@@ -120,23 +120,19 @@ def contract_edge(K: SimplicialComplex, u: int, w: int) -> SimplicialComplex:
     """Identify the endpoints of edge {u, w}.
 
     The merged vertex keeps the smaller label, facets through the edge
-    vanish, duplicates collapse, and labels above the dropped one shift
-    down by one so the result lives on {1, ..., n-1}.
+    vanish, and every other facet is mapped once (w to u, labels above w
+    down by one, so the result lives on {1, ..., n-1}) into build_complex,
+    which sorts and deduplicates; facets_containing checks the labels.
     """
     u, w = min(u, w), max(u, w)
     if u == w or not facets_containing(K, (u, w)):
         raise NotAnEdge("{%d, %d} is not an edge of the complex" % (u, w))
-    survivors = set()
-    for f in K.facets:
-        if u in f and w in f:
-            continue
-        g = tuple(sorted(u if v == w else v for v in f))
-        survivors.add(g)
-    if not survivors:
+    mapped = [[u if v == w else v - 1 if v > w else v for v in f]
+              for f in K.facets if u not in f or w not in f]
+    if not mapped:
         raise ContractionAnnihilates("every facet meets the edge {%d, %d}"
                                      % (u, w))
-    relabeled = [tuple(v - 1 if v > w else v for v in f) for f in survivors]
-    return build_complex(K.n - 1, relabeled)
+    return build_complex(K.n - 1, mapped)
 
 
 def remove_facet(K: SimplicialComplex, face) -> SimplicialComplex | None:

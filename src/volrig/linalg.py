@@ -341,8 +341,8 @@ class ExactMatrix:
     def minor(self, rows: tuple, cols, memo: dict):
         """det at a 0-based row index tuple and ascending column indices:
         the one routine behind compound coordinates, wedge entries and
-        rigidity cofactors (predecessor spans of sets of size 3 and 4
-        expand their entries instead; see shifting._predecessor_span).
+        rigidity cofactors (compound vectors and predecessor spans of
+        size 3 and 4 expand theirs instead: shifting._compound_rows).
 
         Up to 3 x 3 this is det.  Above, M[rows, :] = L R is reduced
         once, memoised in memo under rows (len(rows) x ncols entries),

@@ -51,8 +51,8 @@ class GenericBasis:
     def minor(self, rows, cols):
         """det of the basis matrix restricted to the given 0-based row and
         column index tuples: ExactMatrix.minor with a memo on this basis,
-        so the compound coordinates of all sets against one face share
-        one reduction of that face's rows."""
+        so the sets of a level at k >= 4, or of a vector or span at
+        k >= 5, share one reduction of each face's rows."""
         return self.matrix.minor(rows, cols, self._minors)
 
 
@@ -110,7 +110,8 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
     """Coordinates of the wedge of basis vectors sigma against K's faces.
 
     Entry order follows k_faces(K, len(sigma)-1), i.e. lex on the faces;
-    entries at faces missing from K are simply not represented.
+    entries at faces missing from K are simply not represented.  It is
+    _compound_rows' one column at sigma; _face_rows bounds its memo at k >= 5.
     """
     sigma = as_face(sigma)
     k = len(sigma)
@@ -122,7 +123,8 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
     if sigma[-1] > basis.n:
         raise VertexOutOfRange("sigma %r exceeds basis size n=%d"
                                % (sigma, basis.n))
-    return _compound(basis, _face_rows(K, k, basis), sigma)
+    return [row[0] for row in
+            _compound_rows(basis, _face_rows(K, k, basis), [sigma])]
 
 
 def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
@@ -130,7 +132,8 @@ def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
     indices of every size-k compound vector against K.
 
     Refuses k >= 4 with f_{k-1} k n above the dense-entry limit: that is
-    what GenericBasis.minor memoises, a reduced k x n matrix per face."""
+    what GenericBasis.minor memoises, a reduced k x n matrix per face,
+    for levels at k >= 4 and for vectors and spans at k >= 5."""
     if K.n != basis.n:
         raise DimensionMismatch("complex has n=%d, basis has n=%d"
                                 % (K.n, basis.n))
@@ -139,12 +142,6 @@ def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
         check_dense_size(len(faces) * k, basis.n,
                          "size-%d compound reductions" % k)
     return [tuple(t - 1 for t in tau) for tau in faces]
-
-
-def _compound(basis: GenericBasis, face_rows: list, sigma) -> list:
-    """compound_vector of sigma, given K's face rows from _face_rows."""
-    cols = tuple(s - 1 for s in sigma)
-    return [basis.minor(rows, cols) for rows in face_rows]
 
 
 def _predecessors(sigma, n: int, order: str) -> list:
@@ -183,33 +180,35 @@ def _predecessor_count(sigma, n: int, order: str) -> int:
 def _predecessor_span(K: SimplicialComplex, sigma, basis: GenericBasis,
                       order: str) -> ExactMatrix:
     """Columns: the compound vectors of sigma's order-predecessors, in
-    _predecessors order; rows: K's size-k faces.  The size guard counts
-    the predecessors before they are listed.
-
-    The entry at face F and set t is det B[F, t], B the basis matrix.
-    For k = 3 and 4 it is expanded along the column of t's last label:
-    sum over r of (-1)^(r+k-1) B[F_r, t_k] det B[F - F_r, t[:-1]], r
-    0-based.  The predecessors are lex sorted, so those sharing their
-    first k - 1 labels come together; per face and such group the k
-    cofactors are taken once (_expanded_row), and each set then costs
-    one k-term product.  The characteristic face's predecessors fall
-    into d - 1 groups.  For k <= 2, and for k >= 5, where a cofactor
-    of size 4 or more costs a reduction of its own rows (one per face
-    and r, instead of one per face), each entry is basis.minor.
-    """
-    k = len(sigma)
-    face_rows = _face_rows(K, k, basis)
+    _predecessors order and counted before they are listed; rows: K's
+    size-k faces."""
+    face_rows = _face_rows(K, len(sigma), basis)
     check_dense_size(len(face_rows), _predecessor_count(sigma, basis.n, order),
                      "predecessor span matrix")
-    cols = [tuple(s - 1 for s in t)
-            for t in _predecessors(sigma, basis.n, order)]
-    if k in (3, 4):
-        groups = [(head, [t[-1] for t in ts])
-                  for head, ts in groupby(cols, key=lambda t: t[:-1])]
-        data = [_expanded_row(basis, rows, groups) for rows in face_rows]
-    else:
-        data = [[basis.minor(rows, c) for c in cols] for rows in face_rows]
-    return ExactMatrix(data, basis.field, _trusted=True)
+    return ExactMatrix(_compound_rows(basis, face_rows,
+                                      _predecessors(sigma, basis.n, order)),
+                       basis.field, _trusted=True)
+
+
+def _compound_rows(basis: GenericBasis, face_rows: list, sets) -> list:
+    """A row per face of face_rows (from _face_rows), a column per label
+    set of size k in sets: the entry at face F and set t is det B[F, t],
+    B the basis matrix.  For k = 3 and 4 it is expanded along the column
+    of t's last label: sum over r of (-1)^(r+k-1) B[F_r, t_k]
+    det B[F - F_r, t[:-1]], r 0-based.  Adjacent sets sharing their
+    first k - 1 labels (lex sorted predecessors do) form a group; per
+    face and group the k cofactors are taken once (_expanded_row), and
+    each set then costs one k-term product.  The characteristic face's
+    predecessors fall into d - 1 groups.  For k <= 2, and for k >= 5,
+    where a cofactor of size 4 or more costs a reduction of its own rows
+    (one per face and r, instead of one per face), each entry is
+    basis.minor."""
+    cols = [tuple(s - 1 for s in t) for t in sets]
+    if len(face_rows[0]) not in (3, 4):
+        return [[basis.minor(rows, c) for c in cols] for rows in face_rows]
+    groups = [(head, [t[-1] for t in ts])
+              for head, ts in groupby(cols, key=lambda t: t[:-1])]
+    return [_expanded_row(basis, rows, groups) for rows in face_rows]
 
 
 def _expanded_row(basis: GenericBasis, rows: tuple, groups: list) -> list:
@@ -272,8 +271,9 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
     for sigma in order_list:
         if len(rows) == len(face_rows):
             break
-        row, _ = echelon_insert(rows, _compound(basis, face_rows, sigma),
-                                basis.field)
+        cols = tuple(s - 1 for s in sigma)
+        row, _ = echelon_insert(rows, [basis.minor(f, cols)
+                                       for f in face_rows], basis.field)
         if row:
             members.append(sigma)
             rows.append(row)
@@ -328,7 +328,8 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
                     row, _ = echelon_insert(rows, v, field)
                     if row:
                         rows.append(row)
-            vec = _compound(basis, face_rows, sigma)
+            cols = tuple(s - 1 for s in sigma)
+            vec = [basis.minor(f, cols) for f in face_rows]
             row, _ = echelon_insert(rows, vec, field)
             if row:
                 rows.append(row)

@@ -46,6 +46,8 @@ class SparsityParams(namedtuple("SparsityParams", "a b d")):
 
     @classmethod
     def volume_regime(cls, d: int) -> "SparsityParams":
+        if d < 2:
+            raise BadParameters("the volume regime needs d >= 2, got d=%d" % d)
         return cls(a=d - 1, b=d * d - d - 1, d=d)
 
     def bound(self, m: int) -> int:

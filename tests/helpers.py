@@ -4,7 +4,8 @@ matrix operations only tests use."""
 import random
 from itertools import combinations
 
-from volrig import build_complex, cone, k_faces, relabel
+from volrig import build_complex, cone, facets_containing, k_faces, relabel
+from volrig.errors import ContractionAnnihilates, NotAnEdge
 from volrig.fileio import write_dataset
 from volrig.linalg import ExactMatrix
 from volrig.shifting import _predecessors, componentwise_leq
@@ -161,6 +162,32 @@ def cofactor(m, i, j):
     minor = m.det([r for r in range(m.nrows) if r != i],
                   [c for c in range(m.ncols) if c != j])
     return m.field.neg(minor) if (i + j) % 2 else minor
+
+
+def contract_edge_three_pass(K, u, w):
+    """complexes.contract_edge as three passes: collect the surviving
+    facets with w merged into u and each image sorted, relabel those
+    above w down by one, then rebuild through build_complex."""
+    u, w = min(u, w), max(u, w)
+    if u == w or not facets_containing(K, (u, w)):
+        raise NotAnEdge("{%d, %d} is not an edge of the complex" % (u, w))
+    survivors = set()
+    for f in K.facets:
+        if u in f and w in f:
+            continue
+        survivors.add(tuple(sorted(u if v == w else v for v in f)))
+    if not survivors:
+        raise ContractionAnnihilates("every facet meets the edge {%d, %d}"
+                                     % (u, w))
+    relabeled = [tuple(v - 1 if v > w else v for v in f) for f in survivors]
+    return build_complex(K.n - 1, relabeled)
+
+
+def compound_vector_by_minors(K, sigma, basis):
+    """shifting.compound_vector with one basis.minor per size-k face."""
+    cols = tuple(s - 1 for s in sigma)
+    return [basis.minor(tuple(t - 1 for t in tau), cols)
+            for tau in k_faces(K, len(sigma) - 1)]
 
 
 def predecessor_span_by_minors(K, sigma, basis, order):

@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
-from helpers import fresh_rng, octahedron, random_complex, tetra
+from helpers import (contract_edge_three_pass, csaszar_torus, fresh_rng,
+                     octahedron, projective_plane_six, random_complex, stack,
+                     stacked_sphere, tetra)
 from volrig import (build_complex, complete_complex, cone, contract_edge,
                     facets_containing, is_face, k_faces, relabel,
                     remove_facet, union_complex)
@@ -13,7 +15,7 @@ from volrig.complexes import as_face
 from volrig.errors import (ApexCollision, ContractionAnnihilates,
                            EmptyFacetList, FacetNotPresent, FaceTooLarge,
                            InvalidFace, KOutOfRange, MixedDimension,
-                           NotAnEdge, VertexOutOfRange)
+                           NotAnEdge, VertexOutOfRange, VolrigError)
 
 
 def test_as_face_normalizes():
@@ -141,9 +143,32 @@ def test_contract_edge_octahedron():
                         (2, 3, 5), (3, 4, 5))
 
 
+def _contraction_outcome(contract, K, u, w):
+    """The contracted complex, or the type and message of the error."""
+    try:
+        return contract(K, u, w)
+    except VolrigError as e:
+        return type(e), str(e)
+
+
 def test_contract_edge_keeps_smaller_label_argument_order():
     assert contract_edge(octahedron(), 2, 1).facets == \
         contract_edge(octahedron(), 1, 2).facets
+    # Against the three-pass oracle on every edge, in both argument
+    # orders: stacked 2- and 3-spheres, relabelled stacked tori and RP²,
+    # and random complexes (where a contraction may annihilate).
+    rng = fresh_rng(37)
+    cases = [stacked_sphere(rng, d, n) for d in (3, 4) for n in (d + 1, 9)]
+    cases += [stack(rng, L, k) for L in (csaszar_torus(),
+                                         projective_plane_six())
+              for k in (0, 3)]
+    cases += [random_complex(rng, rng.randint(d + 1, 7), d)
+              for d in (2, 3, 4) for _ in range(4)]
+    for K in cases:
+        for e in k_faces(K, 1):
+            for u, w in (e, e[::-1]):
+                assert _contraction_outcome(contract_edge, K, u, w) == \
+                    _contraction_outcome(contract_edge_three_pass, K, u, w)
 
 
 def test_contract_edge_errors():
@@ -151,8 +176,16 @@ def test_contract_edge_errors():
         contract_edge(build_complex(4, [(1, 2, 3)]), 1, 4)
     with pytest.raises(NotAnEdge):
         contract_edge(tetra(), 2, 2)
+    with pytest.raises(InvalidFace):
+        contract_edge(tetra(), 0, 2)
     with pytest.raises(ContractionAnnihilates):
         contract_edge(build_complex(3, [(1, 2, 3)]), 1, 2)
+    # The same error type and message as the three-pass oracle.
+    for K, u, w in ((build_complex(4, [(1, 2, 3)]), 1, 4), (tetra(), 2, 2),
+                    (tetra(), 0, 2), (tetra(), 2, 0),
+                    (build_complex(3, [(1, 2, 3)]), 2, 1)):
+        assert _contraction_outcome(contract_edge, K, u, w) == \
+            _contraction_outcome(contract_edge_three_pass, K, u, w)
 
 
 def test_remove_facet():

@@ -787,6 +787,14 @@ def test_cli_error_paths(tmp_path, monkeypatch):
     monkeypatch.delenv("VOLRIG_DATA")
     assert run_command(["verify-dataset", "--name", "torus"]) == (
         2, "error: no dataset directory: set VOLRIG_DATA or pass --dir\n")
+    # The volume regime (d - 1, d^2 - d - 1) starts at d = 2; below it the
+    # sparsity commands without --a/--b name the regime, not a = 0.
+    path = os.path.join(tmp_path, "points.txt")
+    with open(path, "w") as fh:
+        fh.write("3 1\n1\n2\n")
+    for command in ("sparsity", "tight", "complete-basis"):
+        assert run_command([command, "--in", path]) == (
+            2, "error: the volume regime needs d >= 2, got d=1\n")
 
 
 def test_cli_prime_selection(tetra_file):

@@ -106,6 +106,8 @@ CHECKS = [
      BadParameters),
     ("build_counterexample d<3", lambda: build_counterexample(2),
      BadParameters),
+    ("SparsityParams.volume_regime d<2",
+     lambda: SparsityParams.volume_regime(1), BadParameters),
     # complexes
     ("complete_complex d<1", lambda: complete_complex(3, 0),
      MixedDimension),

@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 
 import volrig.shifting
-from helpers import (cofactor, cone_with_smallest_apex, fresh_rng,
+from helpers import (cofactor, compound_vector_by_minors,
+                     cone_with_smallest_apex, fresh_rng,
                      predecessor_span_by_minors, random_complex,
                      random_linear_extension, random_shifted_complex,
                      stacked_sphere, submatrix, tetra)
@@ -384,7 +385,9 @@ def test_predecessor_span_matches_minors():
     # keep basis.minor (2 and 5), in both orders, on stacked spheres and
     # random complexes.  Over GF(5), GF(7) and GF(13) a drawn basis is
     # singular now and then; generic_basis then raises SingularBasis and
-    # the next seed is tried, so every complex is still compared.
+    # the next seed is tried, so every complex is still compared.  The
+    # compound vector of every tested set, and of every single label,
+    # comes from the same builder and is checked the same way.
     rng = fresh_rng(71)
     for field in (GF, PrimeField(13), PrimeField(7), PrimeField(5)):
         for d in (3, 4, 5):
@@ -397,8 +400,13 @@ def test_predecessor_span_matches_minors():
                         break
                     except SingularBasis:
                         seed += 1
+                for v in range(1, n + 1):
+                    assert compound_vector(b, K, (v,)) == \
+                        compound_vector_by_minors(K, (v,), b)
                 for k in range(2, d + 1):
                     for sigma in _span_sets(rng, d, n, k):
+                        assert compound_vector(b, K, sigma) == \
+                            compound_vector_by_minors(K, sigma, b)
                         for order in ("p", "lex"):
                             want = predecessor_span_by_minors(K, sigma, b,
                                                               order)
@@ -409,8 +417,9 @@ def test_predecessor_span_matches_minors():
 def test_predecessor_span_matches_minors_over_qq():
     # generic_basis samples only prime fields, so the QQ basis is built
     # by hand: ones in the first column and small integers elsewhere.
-    # This runs the expansion's unreduced branch.  Fraction arithmetic is
-    # slow, so n stays at 6 or below.
+    # This runs the expansion's unreduced branch, for spans and compound
+    # vectors alike.  Fraction arithmetic is slow, so n stays at 6 or
+    # below.
     rng = fresh_rng(73)
     for d in (3, 4, 5):
         n = min(d + 2, 6)
@@ -418,8 +427,13 @@ def test_predecessor_span_matches_minors_over_qq():
                 for _ in range(n)]
         b = GenericBasis(n, ExactMatrix(data, QQ))
         for K in (stacked_sphere(rng, d, n), random_complex(rng, n, d)):
+            for v in range(1, n + 1):
+                assert compound_vector(b, K, (v,)) == \
+                    compound_vector_by_minors(K, (v,), b)
             for k in range(2, d + 1):
                 for sigma in _span_sets(rng, d, n, k):
+                    assert compound_vector(b, K, sigma) == \
+                        compound_vector_by_minors(K, sigma, b)
                     for order in ("p", "lex"):
                         got = _predecessor_span(K, sigma, b, order)
                         assert got.field == QQ
