@@ -22,11 +22,15 @@ def as_face(vertices) -> Face:
     """Normalize an iterable of labels to a strictly increasing tuple."""
     vs = tuple(vertices)
     for v in vs:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        # Plain ints skip the isinstance tests; other int subclasses than
+        # bool pass them.
+        if type(v) is not int and (not isinstance(v, int)
+                                   or isinstance(v, bool)) or v < 1:
             raise InvalidFace("vertex labels must be positive ints, got %r" % (v,))
-    if len(set(vs)) != len(vs):
+    face = sorted(set(vs))
+    if len(face) != len(vs):
         raise InvalidFace("repeated vertex in face %r" % (vs,))
-    return tuple(sorted(vs))
+    return tuple(face)
 
 
 class SimplicialComplex(namedtuple("SimplicialComplex", "n d facets")):
@@ -64,7 +68,18 @@ def build_complex(n: int, facets) -> SimplicialComplex:
                                  % (normalized[0], f))
         if f[-1] > n:
             raise VertexOutOfRange("facet %r uses a label above n=%d" % (f, n))
-    return SimplicialComplex(n=n, d=d, facets=tuple(sorted(set(normalized))))
+    return _sorted_complex(n, normalized)
+
+
+def _sorted_complex(n: int, faces: list) -> SimplicialComplex:
+    """The complex on 1..n of a nonempty list of strictly increasing
+    tuples of one size with labels in 1..n, sorted and without repeats:
+    build_complex's last step, after it validates, and contract_edge's,
+    whose images are valid by construction.  Duplicates are dropped in
+    list order, so a list that is sorted but for a few tuples sorts in
+    about one pass."""
+    return SimplicialComplex(n=n, d=len(faces[0]),
+                             facets=tuple(sorted(dict.fromkeys(faces))))
 
 
 def k_faces(K: SimplicialComplex, k: int) -> list:
@@ -104,11 +119,17 @@ def union_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCompl
 
 
 def facets_containing(K: SimplicialComplex, face) -> list:
+    """K's facets that hold every label of face, in K's order: a facet
+    is tested for the first label, then for the rest, by membership in
+    the facet tuple itself."""
     f = as_face(face)
     if len(f) > K.d:
         raise FaceTooLarge("face %r larger than facet cardinality %d" % (f, K.d))
-    fset = set(f)
-    return [s for s in K.facets if fset.issubset(s)]
+    if not f:
+        return list(K.facets)
+    first, rest = f[0], f[1:]
+    return [s for s in K.facets
+            if first in s and all(map(s.__contains__, rest))]
 
 
 def is_face(K: SimplicialComplex, face) -> bool:
@@ -120,19 +141,29 @@ def contract_edge(K: SimplicialComplex, u: int, w: int) -> SimplicialComplex:
     """Identify the endpoints of edge {u, w}.
 
     The merged vertex keeps the smaller label, facets through the edge
-    vanish, and every other facet is mapped once (w to u, labels above w
-    down by one, so the result lives on {1, ..., n-1}) into build_complex,
-    which sorts and deduplicates; facets_containing checks the labels.
+    vanish, and every other facet is mapped once: w to u, and labels
+    above w down by one, so the result lives on {1, ..., n-1}.
+    facets_containing checks the labels.  The map keeps the order of
+    the labels other than w, so only an image that held w is sorted
+    again; a facet with no label from w up is kept as it is.  The images
+    go to _sorted_complex without another check.
     """
     u, w = min(u, w), max(u, w)
     if u == w or not facets_containing(K, (u, w)):
         raise NotAnEdge("{%d, %d} is not an edge of the complex" % (u, w))
-    mapped = [[u if v == w else v - 1 if v > w else v for v in f]
-              for f in K.facets if u not in f or w not in f]
-    if not mapped:
+    images = []
+    for f in K.facets:
+        if f[-1] < w:
+            images.append(f)
+        elif w not in f:
+            images.append(tuple([v - 1 if v > w else v for v in f]))
+        elif u not in f:
+            images.append(tuple(sorted([u if v == w else v - 1 if v > w
+                                        else v for v in f])))
+    if not images:
         raise ContractionAnnihilates("every facet meets the edge {%d, %d}"
                                      % (u, w))
-    return build_complex(K.n - 1, mapped)
+    return _sorted_complex(K.n - 1, images)
 
 
 def remove_facet(K: SimplicialComplex, face) -> SimplicialComplex | None:

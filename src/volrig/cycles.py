@@ -137,8 +137,10 @@ def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,
 
 
 def _link(K: SimplicialComplex, v: int) -> set:
-    """The faces opposite v in the facets containing v."""
-    return {tuple(x for x in s if x != v) for s in K.facets if v in s}
+    """The faces opposite v in the facets containing v, each sliced out
+    of its facet around v's position."""
+    return {s[:i] + s[i + 1:] for s in K.facets if v in s
+            for i in (s.index(v),)}
 
 
 def surface_link_condition(K: SimplicialComplex, u: int, w: int) -> bool:
@@ -181,15 +183,17 @@ def _neighbours(star: dict, v: int) -> set:
     return {x for s in star[v] for x in s if x != v}
 
 
-def _star_admissible(K: SimplicialComplex, star: dict, u: int, w: int) -> bool:
-    """default_admissible(K, u, w), read off the stars of u and w."""
+def _star_admissible(K: SimplicialComplex, star: dict, u: int, w: int,
+                     near_u: set) -> bool:
+    """default_admissible(K, u, w), read off the stars of u and w and
+    near_u, the neighbours of u (_neighbours(star, u))."""
     through = [s for s in star[u] if w in s]
     if not K.d - 1 <= len(through) < K.num_facets:
         return False
     if K.d != 3:
         return True
     apexes = {x for s in through for x in s} - {u, w}
-    if _neighbours(star, u) & _neighbours(star, w) != apexes:
+    if near_u & _neighbours(star, w) != apexes:
         return False
     # Given that, the links share an edge only between two apexes.
     return not any(tuple(sorted((u, x, y))) in star[u]
@@ -201,14 +205,15 @@ def _admissible_edge(K: SimplicialComplex):
     """First edge in lex order that default_admissible accepts, or None.
 
     The edges are walked as u ascending, then w > u among u's neighbours
-    ascending, each tested on the stars of K (_star_admissible).  One
-    default_admissible call confirms the edge found, and a disagreement
-    raises RuntimeError.
+    ascending, each tested on the stars of K and u's neighbours, taken
+    once per u (_star_admissible).  One default_admissible call confirms
+    the edge found, and a disagreement raises RuntimeError.
     """
     star = _stars(K)
     for u in sorted(star):
-        for w in sorted(x for x in _neighbours(star, u) if x > u):
-            if _star_admissible(K, star, u, w):
+        near_u = _neighbours(star, u)
+        for w in sorted(x for x in near_u if x > u):
+            if _star_admissible(K, star, u, w, near_u):
                 if not default_admissible(K, u, w):
                     raise RuntimeError("star test accepted edge (%d, %d), "
                                        "default_admissible rejects it"
@@ -252,7 +257,10 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
     Irreducibility here means only that no admissible contraction
     exists; no homeomorphism typing is attempted.  Complexes on equal
     vertex counts share their shifting bases, which depend only on n,
-    through the one bases dict handed to every _membership call.
+    through the one bases dict handed to every _membership call.  Their
+    minor memos are emptied after each complex, so they hold at most one
+    complex's reductions (k >= 5), the amount that
+    shifting._check_reductions bounds.
     trials means "up to trials" for a rigid complex and a member: each
     test stops at the first placement or basis that gives an exact
     certificate (_rank_until_rigid, _membership with certify).  A
@@ -272,6 +280,8 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
         mem = None
         if K.d >= 3 and K.n >= K.d + 1:
             mem = _membership(K, trials, seed, field, bases, True).member
+            for b in bases[K.n]:
+                b._minors.clear()
         fixed = _admissible_edge(K) is None
         entries.append({
             "index": idx, "n": K.n, "d": K.d, "facets": K.num_facets,

@@ -34,9 +34,10 @@ DEFAULT_PRIME = PRIME_TABLE[0]
 # they are listed), the wedge matrix on all C(n,d) sets or on given
 # faces, and the boundary matrix.  Sparsity
 # completion holds its a n - b facets to the same number, and compound
-# coordinates of size k >= 4 their f_{k-1} memoised k x n reductions of
-# basis rows.  On a 2-core VM (Python 3.11) sampling and checking an
-# n = 500 basis (250k entries) took 15 s and 67 MB, growing as n^3; a
+# coordinates their f_{k-1} memoised k x n reductions of basis rows
+# (levels at k >= 4, vectors and spans at k >= 5).  On a 2-core VM
+# (Python 3.11) sampling and checking an n = 500 basis (250k entries)
+# took 15 s and 67 MB, growing as n^3; a
 # 250k-entry wedge matrix builds and eliminates in under a second; the
 # largest accepted partial-order shift, a 227k-entry shifting matrix
 # (n = 30, one basis), runs in 0.7-1.3 s as a whole `shift --trials 1`

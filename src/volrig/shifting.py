@@ -111,7 +111,7 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
 
     Entry order follows k_faces(K, len(sigma)-1), i.e. lex on the faces;
     entries at faces missing from K are simply not represented.  It is
-    _compound_rows' one column at sigma; _face_rows bounds its memo at k >= 5.
+    _compound_rows' one column at sigma, which bounds its memo at k >= 5.
     """
     sigma = as_face(sigma)
     k = len(sigma)
@@ -129,19 +129,24 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
 
 def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
     """0-based index tuples of K's size-k faces in lex order: the row
-    indices of every size-k compound vector against K.
-
-    Refuses k >= 4 with f_{k-1} k n above the dense-entry limit: that is
-    what GenericBasis.minor memoises, a reduced k x n matrix per face,
-    for levels at k >= 4 and for vectors and spans at k >= 5."""
+    indices of every size-k compound vector against K."""
     if K.n != basis.n:
         raise DimensionMismatch("complex has n=%d, basis has n=%d"
                                 % (K.n, basis.n))
-    faces = k_faces(K, k - 1)
+    return [tuple(t - 1 for t in tau) for tau in k_faces(K, k - 1)]
+
+
+def _check_reductions(face_rows: list, n: int) -> None:
+    """Before a walk that takes basis.minor at every face of face_rows,
+    refuse k >= 4 with f_{k-1} k n above the dense-entry limit: that is
+    what GenericBasis.minor memoises from k = 4 on, a reduced k x n
+    matrix per face.  The level walks call it, and _compound_rows where
+    it takes minors (k <= 2 and k >= 5); vectors and spans at k = 3 and
+    4 expand their entries and fill no memo."""
+    k = len(face_rows[0])
     if k >= 4:
-        check_dense_size(len(faces) * k, basis.n,
+        check_dense_size(len(face_rows) * k, n,
                          "size-%d compound reductions" % k)
-    return [tuple(t - 1 for t in tau) for tau in faces]
 
 
 def _predecessors(sigma, n: int, order: str) -> list:
@@ -202,9 +207,10 @@ def _compound_rows(basis: GenericBasis, face_rows: list, sets) -> list:
     predecessors fall into d - 1 groups.  For k <= 2, and for k >= 5,
     where a cofactor of size 4 or more costs a reduction of its own rows
     (one per face and r, instead of one per face), each entry is
-    basis.minor."""
+    basis.minor, after _check_reductions."""
     cols = [tuple(s - 1 for s in t) for t in sets]
     if len(face_rows[0]) not in (3, 4):
+        _check_reductions(face_rows, basis.n)
         return [[basis.minor(rows, c) for c in cols] for rows in face_rows]
     groups = [(head, [t[-1] for t in ts])
               for head, ts in groupby(cols, key=lambda t: t[:-1])]
@@ -267,6 +273,7 @@ def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
     if len(order_list) != len(expected) or set(order_list) != expected:
         raise BadParameters("face_order must enumerate all size-%d subsets" % k)
     face_rows = _face_rows(K, k, basis)
+    _check_reductions(face_rows, basis.n)
     members, rows = [], []
     for sigma in order_list:
         if len(rows) == len(face_rows):
@@ -315,6 +322,7 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     if order != "p":
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
     face_rows = _face_rows(K, k, basis)
+    _check_reductions(face_rows, basis.n)
     field = basis.field
     vecs, spans = {}, {}
     for sigma in combinations(range(1, basis.n + 1), k):

@@ -5,28 +5,48 @@ from math import comb
 
 import pytest
 
-from helpers import (contract_edge_three_pass, csaszar_torus, fresh_rng,
+from helpers import (contract_edge_by_build_complex,
+                     contract_edge_three_pass, csaszar_torus, fresh_rng,
                      octahedron, projective_plane_six, random_complex, stack,
                      stacked_sphere, tetra)
 from volrig import (build_complex, complete_complex, cone, contract_edge,
                     facets_containing, is_face, k_faces, relabel,
                     remove_facet, union_complex)
-from volrig.complexes import as_face
+from volrig.complexes import SimplicialComplex, as_face
 from volrig.errors import (ApexCollision, ContractionAnnihilates,
                            EmptyFacetList, FacetNotPresent, FaceTooLarge,
                            InvalidFace, KOutOfRange, MixedDimension,
                            NotAnEdge, VertexOutOfRange, VolrigError)
 
 
+class Label(int):
+    """An int subclass, which as_face accepts like an int."""
+
+
 def test_as_face_normalizes():
     assert as_face([3, 1, 2]) == (1, 2, 3)
     assert as_face((5,)) == (5,)
-    with pytest.raises(InvalidFace):
-        as_face([1, 1, 2])
-    with pytest.raises(InvalidFace):
-        as_face([0, 1])
-    with pytest.raises(InvalidFace):
-        as_face([1, "2"])
+    assert as_face(iter([5, 2, 7])) == (2, 5, 7)
+    assert as_face([]) == ()
+    face = as_face([Label(3), Label(1)])
+    assert face == (1, 3) and all(type(v) is Label for v in face)
+    # Each refusal names the first bad label, before any repeat.
+    msg = "vertex labels must be positive ints, got %s"
+    for labels, message in (
+            ([1, True], msg % "True"),
+            ([False], msg % "False"),
+            ([2, 0, -1], msg % "0"),
+            ([3, -2], msg % "-2"),
+            ([1, 2.0], msg % "2.0"),
+            ([1, "2", None], msg % "'2'"),
+            ([None, 1], msg % "None"),
+            ([Label(0)], msg % "0"),
+            ([1, 1, 0], msg % "0"),
+            ([2, 1, 2], "repeated vertex in face (2, 1, 2)"),
+            ((v for v in (4, 4)), "repeated vertex in face (4, 4)")):
+        with pytest.raises(InvalidFace) as e:
+            as_face(labels)
+        assert str(e.value) == message
 
 
 def test_build_complex_canonicalizes():
@@ -118,6 +138,24 @@ def test_facets_containing():
     assert facets_containing(K, (1, 2, 3)) == [(1, 2, 3)]
     with pytest.raises(FaceTooLarge):
         facets_containing(K, (1, 2, 3, 4))
+    # Against the set-subset definition: faces of every size from 0 to
+    # d + 1, labels up to n + 1, too large a face refused either way.
+    def by_subsets(K, face):
+        f = as_face(face)
+        if len(f) > K.d:
+            raise FaceTooLarge("face %r larger than facet cardinality %d"
+                               % (f, K.d))
+        return [s for s in K.facets if set(f).issubset(s)]
+
+    rng = fresh_rng(71)
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            K = random_complex(rng, rng.randint(d + 1, 8), d)
+            for size in range(d + 2):
+                for face in combinations(range(1, K.n + 2), size):
+                    face = rng.sample(face, size)
+                    assert _outcome(facets_containing, K, face) == \
+                        _outcome(by_subsets, K, face)
 
 
 def test_is_face():
@@ -143,10 +181,10 @@ def test_contract_edge_octahedron():
                         (2, 3, 5), (3, 4, 5))
 
 
-def _contraction_outcome(contract, K, u, w):
-    """The contracted complex, or the type and message of the error."""
+def _outcome(call, *args):
+    """What call returns, or the type and message of its error."""
     try:
-        return contract(K, u, w)
+        return call(*args)
     except VolrigError as e:
         return type(e), str(e)
 
@@ -154,21 +192,34 @@ def _contraction_outcome(contract, K, u, w):
 def test_contract_edge_keeps_smaller_label_argument_order():
     assert contract_edge(octahedron(), 2, 1).facets == \
         contract_edge(octahedron(), 1, 2).facets
-    # Against the three-pass oracle on every edge, in both argument
-    # orders: stacked 2- and 3-spheres, relabelled stacked tori and RP²,
-    # and random complexes (where a contraction may annihilate).
+    # Against the three-pass oracle and the images mapped into
+    # build_complex, on every edge, in both argument orders: stacked 2-
+    # and 3-spheres, relabelled stacked tori and RP², and random
+    # complexes with facets of size 2 to 5 (where a contraction may
+    # annihilate, or merge two facets into one image).  In the last case
+    # (1, 3, 4) and (2, 3, 4) both become (1, 2, 3) under (1, 2).
     rng = fresh_rng(37)
     cases = [stacked_sphere(rng, d, n) for d in (3, 4) for n in (d + 1, 9)]
     cases += [stack(rng, L, k) for L in (csaszar_torus(),
                                          projective_plane_six())
               for k in (0, 3)]
-    cases += [random_complex(rng, rng.randint(d + 1, 7), d)
-              for d in (2, 3, 4) for _ in range(4)]
+    cases += [random_complex(rng, rng.randint(d + 1, 8), d)
+              for d in (2, 3, 4, 5) for _ in range(8)]
+    cases.append(build_complex(5, [(1, 2, 5), (1, 3, 4), (2, 3, 4),
+                                   (3, 4, 5)]))
+    merged = 0
     for K in cases:
         for e in k_faces(K, 1):
             for u, w in (e, e[::-1]):
-                assert _contraction_outcome(contract_edge, K, u, w) == \
-                    _contraction_outcome(contract_edge_three_pass, K, u, w)
+                got = _outcome(contract_edge, K, u, w)
+                assert got == _outcome(contract_edge_three_pass, K, u, w)
+                assert got == _outcome(contract_edge_by_build_complex,
+                                       K, u, w)
+                if isinstance(got, SimplicialComplex):
+                    through = len(facets_containing(K, e))
+                    merged += got.num_facets < K.num_facets - through
+    assert contract_edge(cases[-1], 2, 1).facets == ((1, 2, 3), (2, 3, 4))
+    assert merged > 10
 
 
 def test_contract_edge_errors():
@@ -182,10 +233,11 @@ def test_contract_edge_errors():
         contract_edge(build_complex(3, [(1, 2, 3)]), 1, 2)
     # The same error type and message as the three-pass oracle.
     for K, u, w in ((build_complex(4, [(1, 2, 3)]), 1, 4), (tetra(), 2, 2),
-                    (tetra(), 0, 2), (tetra(), 2, 0),
+                    (tetra(), 0, 2), (tetra(), 2, 0), (tetra(), -1, 2),
+                    (tetra(), True, 2), (tetra(), 1, 5),
                     (build_complex(3, [(1, 2, 3)]), 2, 1)):
-        assert _contraction_outcome(contract_edge, K, u, w) == \
-            _contraction_outcome(contract_edge_three_pass, K, u, w)
+        assert _outcome(contract_edge, K, u, w) == \
+            _outcome(contract_edge_three_pass, K, u, w)
 
 
 def test_remove_facet():

@@ -305,7 +305,8 @@ def test_star_test_matches_default_admissible_on_every_edge():
         star = cycles._stars(K)
         for u, w in k_faces(K, 1):
             verdict = default_admissible(K, u, w)
-            assert cycles._star_admissible(K, star, u, w) == verdict
+            assert cycles._star_admissible(
+                K, star, u, w, cycles._neighbours(star, u)) == verdict
             accepted += verdict
             rejected += not verdict
     assert accepted > 100 and rejected > 100
@@ -448,6 +449,34 @@ def test_verify_dataset_shares_bases_by_vertex_count(monkeypatch):
     assert members == [characteristic_membership(K, 2, 4).member
                        for K in complexes]
     assert False in members
+
+
+def test_verify_dataset_keeps_one_complex_of_minors(monkeypatch):
+    # Facets of size 5 fill the shared bases' minor memo, one reduction
+    # per face.  Six stacked 4-spheres on 14 vertices share their bases,
+    # yet each complex starts from an empty memo and leaves at most its
+    # own faces in it, so the f k n guard bounds the whole dataset.
+    rng = fresh_rng(59)
+    complexes = [stacked_sphere(rng, 5, 14) for _ in range(6)]
+    ds = SurfaceDataset(name="s4", d=5, complexes=complexes,
+                        provenance="handmade")
+    held = []
+    real = cycles._membership
+
+    def watching(K, trials, seed, field, bases, certify):
+        before = sum(len(b._minors) for b in bases.get(K.n, ()))
+        rep = real(K, trials, seed, field, bases, certify)
+        held.append((before, sum(len(b._minors) for b in bases[K.n]),
+                     K.num_facets * len(bases[K.n])))
+        return rep
+
+    monkeypatch.setattr(cycles, "_membership", watching)
+    rep = verify_dataset(ds, trials=2)
+    assert rep.member_count == 6
+    assert len(held) == 6
+    for before, after, bound in held:
+        assert before == 0
+        assert 0 < after <= bound
 
 
 def test_verify_dataset_equals_the_all_trials_reference():

@@ -470,6 +470,28 @@ def test_in_shifted_family_refuses_before_listing_predecessors():
         assert peak < 1 << 20
 
 
+def test_reduction_guard_bounds_only_memoised_minors(monkeypatch):
+    # The f k n guard bounds GenericBasis.minor's memo, one reduced k x n
+    # block per face.  A level takes those minors from k = 4, membership
+    # vectors and spans only from k = 5 (at k = 4 they expand along the
+    # last label).  Between the two limits, the boundary of the
+    # 4-simplex (20 x 5 reduced entries, a 5 x 3 membership span)
+    # answers sigma0 but is refused its level 4, and the boundary of
+    # the 5-simplex (30 x 6) is refused sigma0.
+    monkeypatch.setattr(volrig.linalg, "MAX_DENSE_ENTRIES", 50)
+    K = complete_complex(5, 4)
+    assert characteristic_membership(K, trials=1).member
+    b = generic_basis(5, seed=1)
+    for level in (lambda: shifted_level(K, 4, b),
+                  lambda: shifted_level(K, 4, b, order="lex")):
+        with pytest.raises(InstanceTooLarge,
+                           match="size-4 compound reductions would be 20 x 5"):
+            level()
+    with pytest.raises(InstanceTooLarge,
+                       match="size-5 compound reductions would be 30 x 6"):
+        characteristic_membership(complete_complex(6, 5), trials=1)
+
+
 def test_cone_commutation():
     rng = fresh_rng(43)
     for _ in range(6):
