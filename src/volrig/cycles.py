@@ -255,45 +255,38 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
     """Per complex: rank report, shifting membership, irreducibility.
 
     Irreducibility here means only that no admissible contraction
-    exists; no homeomorphism typing is attempted.  Complexes on equal
-    vertex counts share their shifting bases, which depend only on n,
-    through the one bases dict handed to every _membership call.  Their
-    minor memos are emptied after each complex, so they hold at most one
-    complex's reductions (k >= 5), the amount that
-    shifting._check_reductions bounds.
-    trials means "up to trials" for a rigid complex and a member: each
-    test stops at the first placement or basis that gives an exact
-    certificate (_rank_until_rigid, _membership with certify).  A
-    flexible complex or a non-member runs every trial and keeps the
-    bound of all of them, and each verdict is the one generic_rank and
-    characteristic_membership give.
+    exists; no homeomorphism typing is attempted.  Each complex is
+    checked on its own, with the placements and bases that generic_rank
+    and characteristic_membership draw for it alone, so its entry does
+    not depend on the rest of the dataset.  trials means "up to trials"
+    for a rigid complex and a member: each test stops at the first
+    placement or basis that gives an exact certificate
+    (_rank_until_rigid, _membership with certify).  A flexible complex
+    or a non-member runs every trial and keeps the bound of all of them,
+    and each verdict is the one generic_rank and characteristic_membership
+    give.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     entries = []
-    bases = {}
-    rigid = member = irreducible = 0
     arithmetic = None
     for idx, K in enumerate(ds.complexes):
         rep = _rank_until_rigid(K, trials, seed, field)
         arithmetic = rep.arithmetic
         mem = None
         if K.d >= 3 and K.n >= K.d + 1:
-            mem = _membership(K, trials, seed, field, bases, True).member
-            for b in bases[K.n]:
-                b._minors.clear()
-        fixed = _admissible_edge(K) is None
+            mem = _membership(K, trials, seed, field, True).member
         entries.append({
             "index": idx, "n": K.n, "d": K.d, "facets": K.num_facets,
             "rank": rep.generic_rank, "target": rep.target_rank,
-            "rigid": rep.is_rigid, "member": mem, "irreducible": fixed,
+            "rigid": rep.is_rigid, "member": mem,
+            "irreducible": _admissible_edge(K) is None,
         })
-        rigid += rep.is_rigid
-        member += bool(mem)
-        irreducible += fixed
     return DatasetReport(
-        name=ds.name, size=len(ds.complexes), rigid_count=rigid,
-        member_count=member, irreducible_count=irreducible,
+        name=ds.name, size=len(entries),
+        rigid_count=sum(e["rigid"] for e in entries),
+        member_count=sum(bool(e["member"]) for e in entries),
+        irreducible_count=sum(e["irreducible"] for e in entries),
         entries=tuple(entries), trials=trials, seed=seed,
         arithmetic=arithmetic or "-")
 

@@ -396,25 +396,25 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
     max rank(preds + face) > max rank(preds).  per_trial keeps each
     basis's own vote, so every trial runs (_membership without certify).
     """
-    return _membership(K, trials, seed, field, {}, False)
+    return _membership(K, trials, seed, field, False)
 
 
 def _membership(K: SimplicialComplex, trials: int, seed: int, field,
-                bases: dict, certify: bool) -> MembershipReport:
-    """The votes of the bases seed + t, t < trials, on the characteristic
-    face, and the best-rank verdict over them.
+                certify: bool) -> MembershipReport:
+    """The votes of the bases generic_basis(K.n, seed + t), t < trials, on
+    the characteristic face, and the best-rank verdict over them.
 
-    Bases are drawn on first use into the list that bases keeps under n,
-    so complexes on equal vertex counts share them.  A basis's two ranks
-    differ by its vote, so unanimous votes settle the comparison alone;
-    mixed votes also need each basis's predecessor rank.  With certify,
-    basis 0 settles a member alone when its yes vote is a certificate:
-    its predecessor span has full column rank c, no basis gives the
-    predecessors a rank above c, and this one gives rank c + 1 with the
-    face, so the best-rank rule finds a member whatever the other bases
-    vote.  For a rigid complex the face's whole down-set is in the
-    shifted family, so the first basis certifies, and per_trial holds
-    its vote alone.
+    Each call draws its own bases, so their minor memos (k >= 5) hold one
+    complex's reductions, which _check_reductions bounds, and go with
+    the call.  A basis's two ranks differ by its vote, so unanimous votes
+    settle the comparison alone; mixed votes also need each basis's
+    predecessor rank.  With certify, basis 0 settles a member alone when
+    its yes vote is a certificate: its predecessor span has full column
+    rank c, no basis gives the predecessors a rank above c, and this one
+    gives rank c + 1 with the face, so the best-rank rule finds a member
+    whatever the other bases vote.  For a rigid complex the face's whole
+    down-set is in the shifted family, so the first basis certifies, and
+    per_trial holds its vote alone.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
@@ -423,20 +423,17 @@ def _membership(K: SimplicialComplex, trials: int, seed: int, field,
     face = characteristic_face(K.d, K.n)
     check_dense_size(K.num_facets, (K.n - K.d) * (K.d - 1),
                      "membership span matrix")
-    drawn = bases.setdefault(K.n, [])
-    votes = []
+    bases, votes = [], []
     for t in range(trials):
-        if len(drawn) == t:
-            drawn.append(generic_basis(K.n, seed + t, field=field))
-        votes.append(in_shifted_family(K, face, drawn[t]))
+        bases.append(generic_basis(K.n, seed + t, field=field))
+        votes.append(in_shifted_family(K, face, bases[t]))
         if certify and t == 0 and votes[0]:
-            span = _predecessor_span(K, face, drawn[0], "p")
+            span = _predecessor_span(K, face, bases[0], "p")
             if span.rank() == span.ncols:
                 break
     member = all(votes)
     if any(votes) and not member:
-        ranks = [_predecessor_span(K, face, b, "p").rank()
-                 for b in drawn[:trials]]
+        ranks = [_predecessor_span(K, face, b, "p").rank() for b in bases]
         # The best rank with the face exceeds the best without it exactly
         # when a basis voting yes reaches the best predecessor rank.
         member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)

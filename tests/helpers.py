@@ -183,21 +183,6 @@ def contract_edge_three_pass(K, u, w):
     return build_complex(K.n - 1, relabeled)
 
 
-def contract_edge_by_build_complex(K, u, w):
-    """complexes.contract_edge with each surviving facet mapped once, w
-    to u and labels above w down by one, into build_complex, which
-    validates, sorts and deduplicates the images."""
-    u, w = min(u, w), max(u, w)
-    if u == w or not facets_containing(K, (u, w)):
-        raise NotAnEdge("{%d, %d} is not an edge of the complex" % (u, w))
-    images = [[u if v == w else v - 1 if v > w else v for v in f]
-              for f in K.facets if u not in f or w not in f]
-    if not images:
-        raise ContractionAnnihilates("every facet meets the edge {%d, %d}"
-                                     % (u, w))
-    return build_complex(K.n - 1, images)
-
-
 def compound_vector_by_minors(K, sigma, basis):
     """shifting.compound_vector with one basis.minor per size-k face."""
     cols = tuple(s - 1 for s in sigma)

@@ -423,60 +423,52 @@ def test_verify_dataset_counts():
     assert rep.entries[1]["rank"] == 7
 
 
-def test_verify_dataset_shares_bases_by_vertex_count(monkeypatch):
-    # Complexes on equal vertex counts reuse one set of bases, and each
-    # verdict is still the one characteristic_membership gives alone.
+def test_verify_dataset_checks_each_complex_on_its_own(monkeypatch):
+    # Every entry draws its own bases, seed, seed + 1, ..., whatever the
+    # complexes before it, so a reversed dataset changes no entry but its
+    # index, and each verdict is the one characteristic_membership gives
+    # alone.  Only the flexible counterexample (n = 7) needs a second
+    # basis.  Facets of size 5 fill a basis's minor memo, one reduction
+    # per face; each basis serves one complex, so the f k n guard of
+    # _check_reductions bounds the whole dataset.
     rng = fresh_rng(29)
-    complexes = (octahedron(), projective_plane_six(), tetra(),
-                 stacked_sphere(rng, 3, 6), csaszar_torus(),
-                 build_counterexample(3), stacked_sphere(rng, 3, 7))
-    ds = SurfaceDataset(name="mixed", d=3, complexes=complexes,
-                        provenance="handmade")
+    mixed = (octahedron(), projective_plane_six(), tetra(),
+             stacked_sphere(rng, 3, 6), csaszar_torus(),
+             build_counterexample(3), stacked_sphere(rng, 3, 7))
+    rng = fresh_rng(59)
+    s4 = tuple(stacked_sphere(rng, 5, 14) for _ in range(6))
     drawn = []
     real = shifting.generic_basis
 
-    def counting(n, seed=0, field=None):
-        drawn.append((n, seed))
-        return real(n, seed, field)
+    def recording(n, seed=0, field=None):
+        drawn.append((n, seed, real(n, seed, field)))
+        return drawn[-1][2]
 
-    monkeypatch.setattr(shifting, "generic_basis", counting)
-    rep = verify_dataset(ds, trials=2, seed=4)
-    # Each basis is drawn once, on first use; only the flexible
-    # counterexample (n = 7) needs the second.
-    assert drawn == [(6, 4), (4, 4), (7, 4), (7, 5)]
-    monkeypatch.undo()
-    members = [e["member"] for e in rep.entries]
-    assert members == [characteristic_membership(K, 2, 4).member
-                       for K in complexes]
-    assert False in members
-
-
-def test_verify_dataset_keeps_one_complex_of_minors(monkeypatch):
-    # Facets of size 5 fill the shared bases' minor memo, one reduction
-    # per face.  Six stacked 4-spheres on 14 vertices share their bases,
-    # yet each complex starts from an empty memo and leaves at most its
-    # own faces in it, so the f k n guard bounds the whole dataset.
-    rng = fresh_rng(59)
-    complexes = [stacked_sphere(rng, 5, 14) for _ in range(6)]
-    ds = SurfaceDataset(name="s4", d=5, complexes=complexes,
-                        provenance="handmade")
-    held = []
-    real = cycles._membership
-
-    def watching(K, trials, seed, field, bases, certify):
-        before = sum(len(b._minors) for b in bases.get(K.n, ()))
-        rep = real(K, trials, seed, field, bases, certify)
-        held.append((before, sum(len(b._minors) for b in bases[K.n]),
-                     K.num_facets * len(bases[K.n])))
-        return rep
-
-    monkeypatch.setattr(cycles, "_membership", watching)
-    rep = verify_dataset(ds, trials=2)
-    assert rep.member_count == 6
-    assert len(held) == 6
-    for before, after, bound in held:
-        assert before == 0
-        assert 0 < after <= bound
+    monkeypatch.setattr(shifting, "generic_basis", recording)
+    for complexes, draws in (
+            (mixed, [[(6, 4)], [(6, 4)], [(4, 4)], [(6, 4)], [(7, 4)],
+                     [(7, 4), (7, 5)], [(7, 4)]]),
+            (s4, [[(14, 4)]] * 6)):
+        reps = []
+        for order, want in ((complexes, draws), (complexes[::-1],
+                                                 draws[::-1])):
+            drawn.clear()
+            reps.append(verify_dataset(
+                SurfaceDataset("r", order[0].d, order, ""), trials=2,
+                seed=4))
+            assert [(n, s) for n, s, _ in drawn] == sum(want, [])
+        if complexes is s4:
+            assert all(0 < len(b._minors) <= K.num_facets
+                       for K, (_, _, b) in zip(s4[::-1], drawn))
+        fwd, rev = reps
+        assert [dict(e, index=0) for e in fwd.entries] == \
+            [dict(e, index=0) for e in rev.entries[::-1]]
+        assert fwd._replace(entries=()) == rev._replace(entries=())
+        members = [e["member"] for e in fwd.entries]
+        assert members == [characteristic_membership(K, 2, 4).member
+                           for K in complexes]
+        assert fwd.member_count == sum(members)
+        assert (False in members) == (complexes is mixed)
 
 
 def test_verify_dataset_equals_the_all_trials_reference():
@@ -516,7 +508,7 @@ def test_verify_dataset_equals_the_all_trials_reference():
                     assert ranked.generic_rank == full.generic_rank
                     assert ranked.trial_ranks == \
                         full.trial_ranks[:len(ranked.trial_ranks)]
-                    certified = _membership(K, trials, seed, field, {}, True)
+                    certified = _membership(K, trials, seed, field, True)
                     assert certified.member == mem.member
                     assert certified.per_trial == \
                         mem.per_trial[:len(certified.per_trial)]
