@@ -428,47 +428,76 @@ def test_verify_dataset_checks_each_complex_on_its_own(monkeypatch):
     # complexes before it, so a reversed dataset changes no entry but its
     # index, and each verdict is the one characteristic_membership gives
     # alone.  Only the flexible counterexample (n = 7) needs a second
-    # basis.  Facets of size 5 fill a basis's minor memo, one reduction
-    # per face; each basis serves one complex, so the f k n guard of
-    # _check_reductions bounds the whole dataset.
+    # basis.
     rng = fresh_rng(29)
-    mixed = (octahedron(), projective_plane_six(), tetra(),
-             stacked_sphere(rng, 3, 6), csaszar_torus(),
-             build_counterexample(3), stacked_sphere(rng, 3, 7))
-    rng = fresh_rng(59)
-    s4 = tuple(stacked_sphere(rng, 5, 14) for _ in range(6))
+    complexes = (octahedron(), projective_plane_six(), tetra(),
+                 stacked_sphere(rng, 3, 6), csaszar_torus(),
+                 build_counterexample(3), stacked_sphere(rng, 3, 7))
+    draws = [[(6, 4)], [(6, 4)], [(4, 4)], [(6, 4)], [(7, 4)],
+             [(7, 4), (7, 5)], [(7, 4)]]
     drawn = []
     real = shifting.generic_basis
 
     def recording(n, seed=0, field=None):
-        drawn.append((n, seed, real(n, seed, field)))
-        return drawn[-1][2]
+        drawn.append((n, seed))
+        return real(n, seed, field)
 
     monkeypatch.setattr(shifting, "generic_basis", recording)
-    for complexes, draws in (
-            (mixed, [[(6, 4)], [(6, 4)], [(4, 4)], [(6, 4)], [(7, 4)],
-                     [(7, 4), (7, 5)], [(7, 4)]]),
-            (s4, [[(14, 4)]] * 6)):
-        reps = []
-        for order, want in ((complexes, draws), (complexes[::-1],
-                                                 draws[::-1])):
-            drawn.clear()
-            reps.append(verify_dataset(
-                SurfaceDataset("r", order[0].d, order, ""), trials=2,
-                seed=4))
-            assert [(n, s) for n, s, _ in drawn] == sum(want, [])
-        if complexes is s4:
-            assert all(0 < len(b._minors) <= K.num_facets
-                       for K, (_, _, b) in zip(s4[::-1], drawn))
-        fwd, rev = reps
-        assert [dict(e, index=0) for e in fwd.entries] == \
-            [dict(e, index=0) for e in rev.entries[::-1]]
-        assert fwd._replace(entries=()) == rev._replace(entries=())
-        members = [e["member"] for e in fwd.entries]
-        assert members == [characteristic_membership(K, 2, 4).member
-                           for K in complexes]
-        assert fwd.member_count == sum(members)
-        assert (False in members) == (complexes is mixed)
+    reps = []
+    for order, want in ((complexes, draws), (complexes[::-1], draws[::-1])):
+        drawn.clear()
+        reps.append(verify_dataset(SurfaceDataset("r", 3, order, ""),
+                                   trials=2, seed=4))
+        assert drawn == sum(want, [])
+    monkeypatch.undo()
+    fwd, rev = reps
+    assert [dict(e, index=0) for e in fwd.entries] == \
+        [dict(e, index=0) for e in rev.entries[::-1]]
+    assert fwd._replace(entries=()) == rev._replace(entries=())
+    members = [e["member"] for e in fwd.entries]
+    assert members == [characteristic_membership(K, 2, 4).member
+                       for K in complexes]
+    assert fwd.member_count == sum(members)
+    assert False in members
+
+
+def test_verify_dataset_keeps_one_complex_of_minors(monkeypatch):
+    # Facets of size 5 fill a basis's minor memo, one reduction per face.
+    # Six stacked 4-spheres on 14 vertices each draw their own bases,
+    # which start from an empty memo and leave at most their complex's
+    # faces in it, so the f k n guard of _check_reductions bounds the
+    # whole dataset.
+    rng = fresh_rng(59)
+    complexes = [stacked_sphere(rng, 5, 14) for _ in range(6)]
+    ds = SurfaceDataset(name="s4", d=5, complexes=complexes,
+                        provenance="handmade")
+    drawn = []
+    held = []
+    real_basis = shifting.generic_basis
+    real_membership = cycles._membership
+
+    def recording(n, seed=0, field=None):
+        b = real_basis(n, seed, field)
+        drawn.append((len(b._minors), b))
+        return b
+
+    def watching(K, trials, seed, field, certify):
+        first = len(drawn)
+        rep = real_membership(K, trials, seed, field, certify)
+        held.append([(before, len(b._minors), K.num_facets)
+                     for before, b in drawn[first:]])
+        return rep
+
+    monkeypatch.setattr(shifting, "generic_basis", recording)
+    monkeypatch.setattr(cycles, "_membership", watching)
+    rep = verify_dataset(ds, trials=2)
+    assert rep.member_count == 6
+    assert len(held) == 6
+    for bases in held:
+        assert len(bases) == 1
+        for before, after, bound in bases:
+            assert before == 0
+            assert 0 < after <= bound
 
 
 def test_verify_dataset_equals_the_all_trials_reference():
