@@ -1,14 +1,17 @@
 """Exact dense linear algebra over a large prime field or the rationals.
 
-Entries are plain Python ints (reduced mod q) or fractions.Fraction, so all
-arithmetic is exact; there is no floating point anywhere in the package.
+Entries are plain Python ints (reduced mod q over a prime field) or, over
+the rationals, ints and fractions.Fraction, so all arithmetic is exact;
+there is no floating point anywhere in the package.  QQ's constants are
+the ints 0 and 1, so an integer matrix over QQ is eliminated in ints until
+a pivot other than +-1 appears, and `fractions` is imported only where a
+Fraction is made or tested.
 """
 
 from __future__ import annotations
 
 import operator
 import random
-from fractions import Fraction
 
 from .errors import (BadParameters, DimensionMismatch, InstanceTooLarge,
                      NotInvertible)
@@ -75,6 +78,7 @@ class PrimeField:
         values are refused rather than truncated."""
         if isinstance(x, int):
             return x % self.q
+        from fractions import Fraction
         if isinstance(x, Fraction):
             return x.numerator * self.inv(x.denominator % self.q) % self.q
         raise BadParameters("%r is not an integer or a fraction" % (x,))
@@ -111,15 +115,27 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rational arithmetic via fractions.Fraction."""
+    """Exact rational arithmetic on ints and fractions.Fraction.
+
+    zero and one are the ints 0 and 1, and inv keeps +-1 an int, so a
+    matrix built from these constants (a boundary matrix, the identity
+    block of a kernel) stays in ints until a pivot other than +-1 appears;
+    from there on the arithmetic is Fraction's.  of returns a Fraction,
+    and refuses floats rather than take their binary expansions.
+    """
 
     __slots__ = ()
     q = None
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of(self, x):
+        """x as a Fraction, from an int, a Fraction or a string such as
+        "3/7"."""
+        if isinstance(x, float):
+            raise BadParameters("%r is a float, not an exact rational" % (x,))
+        from fractions import Fraction
         return Fraction(x)
 
     def add(self, a, b):
@@ -137,6 +153,9 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise NotInvertible("zero is not invertible")
+        if a == 1 or a == -1:
+            return a
+        from fractions import Fraction
         return 1 / Fraction(a)
 
     def describe(self) -> str:
@@ -266,10 +285,11 @@ class ExactMatrix:
 
     Rank, column span, determinant and kernel all insert rows (columns,
     for a span) into semi-echelon form with echelon_insert, in plain
-    Python arithmetic (reduced mod q over a prime field, bare Fraction
-    operators over QQ).  Determinants and minors up to 3 x 3 use closed
-    forms instead (_det_at), and minor reads minors above 3 x 3 off one
-    memoised reduction of their rows.
+    Python arithmetic (reduced mod q over a prime field, bare int and
+    Fraction operators over QQ: an integer matrix stays in ints until a
+    pivot other than +-1).  Determinants and minors up to 3 x 3 use
+    closed forms instead (_det_at), and minor reads minors above 3 x 3
+    off one memoised reduction of their rows.
     """
 
     __slots__ = ("nrows", "ncols", "data", "field")

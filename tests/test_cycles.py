@@ -8,7 +8,7 @@ import pytest
 
 from helpers import (csaszar_torus, fresh_rng, matmul, octahedron,
                      projective_plane_six, random_complex, single_triangle,
-                     stack, stacked_sphere, tetra)
+                     stack, stacked_sphere, tetra, transpose)
 from volrig import (build_complex, contract_edge, cycles, facets_containing,
                     is_volume_rigid, k_faces, rigidity, shifting,
                     union_complex)
@@ -20,7 +20,7 @@ from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
                            rigidity_boundary_identity, sample_chain,
                            surface_link_condition, verify_dataset)
 from volrig.errors import BadParameters, ChainOutsideComplex, InvalidFace
-from volrig.linalg import QQ, PrimeField, default_field
+from volrig.linalg import QQ, ExactMatrix, PrimeField, default_field
 from volrig.rigidity import (Placement, _rank_until_rigid,
                              columns_independent, generic_rank,
                              random_placement)
@@ -70,6 +70,42 @@ def test_surface_examples_minimal_cycles():
     # The six-vertex projective plane only cycles mod 2.
     assert not is_minimal_cycle(projective_plane_six())
     assert is_minimal_cycle(projective_plane_six(), field=GF2)
+
+
+def fraction_oracle(m):
+    """m rebuilt through QQ.of, so every entry is a Fraction."""
+    oracle = ExactMatrix(m.data, QQ)
+    assert all(type(x) is Fraction for row in oracle.data for x in row)
+    return oracle
+
+
+@pytest.mark.parametrize("K", [octahedron(),
+                               stacked_sphere(fresh_rng(3), 3, 12)],
+                         ids=["octahedron", "stacked"])
+def test_sphere_cycle_space_stays_in_ints(K):
+    # Up to column signs, a 2-sphere's boundary matrix is the incidence
+    # matrix of its dual graph, so every pivot is +-1 and the kernel is
+    # computed and returned in ints, equal to the Fraction kernel.
+    boundary = boundary_matrix(K)
+    kernel = boundary.right_kernel()
+    assert kernel.ncols == 1
+    assert all(type(x) is int for row in kernel.data for x in row)
+    assert kernel.data == fraction_oracle(boundary).right_kernel().data
+
+
+def test_projective_plane_takes_fractions_past_a_pivot_of_two():
+    # RP²'s QQ elimination meets a pivot of 2: from there the entries are
+    # Fractions, and the ranks and kernels equal the Fraction oracle's.
+    K = projective_plane_six()
+    boundary = boundary_matrix(K)
+    coboundary = transpose(boundary)
+    for m in (boundary, coboundary):
+        oracle = fraction_oracle(m)
+        assert m.rank() == oracle.rank() == 10
+        assert m.right_kernel() == oracle.right_kernel()
+    assert any(type(x) is Fraction for row in coboundary.right_kernel().data
+               for x in row)
+    assert cycle_space(K).ncols == 0
 
 
 def test_chain_vector_and_boundary():

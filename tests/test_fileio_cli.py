@@ -581,12 +581,12 @@ def test_cli_refuses_shifting_level_before_counting_faces(tmp_path):
     assert text.startswith("error: ") and "entry limit" in text
 
 
-def loaded_after_cli_import(*names):
-    """Which of the named modules `import volrig.cli` loads, in a fresh
-    interpreter whose -S keeps site hooks from importing them first."""
+def loaded_after(stmt, *names):
+    """Which of the named modules stmt loads, in a fresh interpreter whose
+    -S keeps site hooks from importing them first."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(volrig.__file__)))
-    code = ("import sys; sys.path.insert(0, %r); import volrig.cli; "
-            "print([m for m in %r if m in sys.modules])" % (src, names))
+    code = ("import sys; sys.path.insert(0, %r); %s; "
+            "print([m for m in %r if m in sys.modules])" % (src, stmt, names))
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
@@ -594,13 +594,33 @@ def loaded_after_cli_import(*names):
 
 def test_cli_import_leaves_dataclasses_out():
     # Value types are named tuples, so start-up never loads dataclasses.
-    assert loaded_after_cli_import("dataclasses") == "[]"
+    assert loaded_after("import volrig.cli", "dataclasses") == "[]"
 
 
 def test_cli_import_leaves_hashlib_and_json_out():
     # Only dataset checksums need hashlib and only --json reports need
     # json, so each is imported where it is used.
-    assert loaded_after_cli_import("hashlib", "json") == "[]"
+    assert loaded_after("import volrig.cli", "hashlib", "json") == "[]"
+
+
+def test_integer_jobs_leave_fractions_out(tmp_path):
+    # QQ's constants are ints and QQ.inv keeps +-1 an int, so only a job
+    # that makes a Fraction loads fractions: here the QQ homology of RP²,
+    # whose elimination meets a pivot of 2.
+    octa = os.path.join(tmp_path, "octa.txt")
+    rp2 = os.path.join(tmp_path, "rp2.txt")
+    write_complex(octahedron(), octa)
+    write_complex(projective_plane_six(), rp2)
+    jobs = [[cmd, "--in", octa] for cmd in
+            ("rigid", "sigma0", "sparsity", "contract", "homology")]
+    stmt = ("from volrig.cli import run_command; "
+            "assert [run_command(a)[0] for a in %r] == [0, 0, 1, 0, 0]"
+            % (jobs,))
+    assert loaded_after(stmt, "fractions") == "[]"
+    stmt = ("from volrig.cli import run_command; "
+            "assert run_command(%r)[1].startswith('cycle-dim 0 (QQ)')"
+            % (["homology", "--in", rp2],))
+    assert loaded_after(stmt, "fractions") == "['fractions']"
 
 
 def test_cli_sparsity(tetra_file):

@@ -16,7 +16,7 @@ from volrig.cycles import (SurfaceDataset, boundary_matrix,
 from volrig.errors import (BadParameters, DimensionMismatch,
                            MissingVertexCoordinates, MixedDimension,
                            VertexOutOfRange)
-from volrig.linalg import QQ, PrimeField, sample_generic_matrix
+from volrig.linalg import QQ, ExactMatrix, PrimeField, sample_generic_matrix
 from volrig.rigidity import (Placement, columns_independent, generic_rank,
                              is_volume_rigid, random_placement,
                              rational_rank, rigidity_matrix, simplex_matrix,
@@ -130,6 +130,8 @@ CHECKS = [
      BadParameters),
     # linalg
     ("PrimeField(1)", lambda: PrimeField(1), BadParameters),
+    ("QQ matrix from a float",
+     lambda: ExactMatrix([[0.1]], QQ), BadParameters),
     ("in_column_span length",
      lambda: identity(2, QQ).in_column_span([1, 2, 3]),
      DimensionMismatch),

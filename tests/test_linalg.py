@@ -100,6 +100,11 @@ def test_prime_field_of_is_exact():
 def test_rational_field_ops():
     assert QQ.inv(QQ.of(4)) == Fraction(1, 4)
     assert QQ.of("3/7") == Fraction(3, 7)
+    assert type(QQ.of(3)) is Fraction
+    # The constants, and the inverses of +-1, stay ints.
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert QQ.inv(2) == Fraction(1, 2)
     with pytest.raises(NotInvertible):
         QQ.inv(QQ.of(0))
 
