@@ -11,15 +11,15 @@ from .complexes import (SimplicialComplex, as_face, build_complex,
                         complete_complex, cone, contract_edge,
                         facets_containing, is_face, k_faces, relabel,
                         remove_facet, union_complex)
-from .cycles import (GF2, DatasetReport, SurfaceDataset, boundary_matrix,
-                     boundary_operator, contraction_reduce, cycle_space,
-                     is_minimal_cycle, remove_facet_rigidity,
-                     rigidity_boundary_identity, verify_dataset)
+from .cycles import (GF2, DatasetReport, boundary_matrix, boundary_operator,
+                     contraction_reduce, cycle_space, is_minimal_cycle,
+                     remove_facet_rigidity, rigidity_boundary_identity,
+                     verify_dataset)
 from .errors import VolrigError
-from .fileio import (format_complex, load_dataset, parse_complex,
-                     read_complex, write_complex, write_dataset)
-from .linalg import (DEFAULT_PRIME, PRIME_TABLE, QQ, ExactMatrix, PrimeField,
-                     RationalField, default_field, sample_generic_matrix)
+from .fileio import (SurfaceDataset, format_complex, load_dataset,
+                     parse_complex, read_complex, write_complex, write_dataset)
+from .linalg import (DEFAULT_PRIME, GF, PRIME_TABLE, QQ, ExactMatrix,
+                     PrimeField, RationalField, sample_generic_matrix)
 from .rigidity import (Placement, RigidityReport, columns_independent,
                        generic_rank, is_volume_rigid, random_placement,
                        rigidity_matrix, simplex_matrix, trivial_motion_basis)

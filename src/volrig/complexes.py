@@ -18,14 +18,17 @@ from .errors import (ApexCollision, ContractionAnnihilates, EmptyFacetList,
 Face = tuple
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool.  Plain ints skip the
+    isinstance tests; other int subclasses than bool pass them."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_face(vertices) -> Face:
     """Normalize an iterable of labels to a strictly increasing tuple."""
     vs = tuple(vertices)
     for v in vs:
-        # Plain ints skip the isinstance tests; other int subclasses than
-        # bool pass them.
-        if type(v) is not int and (not isinstance(v, int)
-                                   or isinstance(v, bool)) or v < 1:
+        if not _is_int(v) or v < 1:
             raise InvalidFace("vertex labels must be positive ints, got %r" % (v,))
     face = sorted(set(vs))
     if len(face) != len(vs):
@@ -56,6 +59,8 @@ class SimplicialComplex(namedtuple("SimplicialComplex", "n d facets")):
 
 def build_complex(n: int, facets) -> SimplicialComplex:
     """Validate, deduplicate, and sort a facet list into a complex."""
+    if not _is_int(n):
+        raise VertexOutOfRange("vertex count must be an int, got n=%r" % (n,))
     if n < 1:
         raise VertexOutOfRange("need at least one vertex, got n=%d" % n)
     normalized = [as_face(f) for f in facets]

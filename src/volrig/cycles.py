@@ -19,9 +19,7 @@ from .complexes import (SimplicialComplex, as_face, build_complex,
                         contract_edge, facets_containing, k_faces,
                         remove_facet)
 from .errors import BadParameters, ChainOutsideComplex
-from .fileio import SurfaceDataset
-from .linalg import (QQ, ExactMatrix, PrimeField, check_dense_size,
-                     default_field)
+from .linalg import GF, QQ, ExactMatrix, PrimeField, check_dense_size
 from .rigidity import (Placement, RigidityReport, _rank_until_rigid,
                        _report, _vertex_matrix, generic_rank,
                        random_placement, rigidity_matrix)
@@ -126,7 +124,7 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
 
 
 def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,
-                          seed: int = 0, field=None) -> RigidityReport:
+                          seed: int = 0, field=GF) -> RigidityReport:
     """Rigidity report for the complex with one facet deleted."""
     if trials < 1:
         raise BadParameters("trials must be at least 1")
@@ -251,7 +249,7 @@ class DatasetReport(namedtuple("DatasetReport", (
 
 
 def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
-                   field=None) -> DatasetReport:
+                   field=GF) -> DatasetReport:
     """Per complex: rank report, shifting membership, irreducibility.
 
     Irreducibility here means only that no admissible contraction
@@ -269,10 +267,8 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     entries = []
-    arithmetic = None
     for idx, K in enumerate(ds.complexes):
         rep = _rank_until_rigid(K, trials, seed, field)
-        arithmetic = rep.arithmetic
         mem = None
         if K.d >= 3 and K.n >= K.d + 1:
             mem = _membership(K, trials, seed, field, True).member
@@ -288,13 +284,11 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
         member_count=sum(bool(e["member"]) for e in entries),
         irreducible_count=sum(e["irreducible"] for e in entries),
         entries=tuple(entries), trials=trials, seed=seed,
-        arithmetic=arithmetic or "-")
+        arithmetic=field.describe())
 
 
-def sample_chain(K: SimplicialComplex, seed: int, field=None) -> dict:
+def sample_chain(K: SimplicialComplex, seed: int, field=GF) -> dict:
     """Random chain over K's facets for identity sweeps."""
-    if field is None:
-        field = default_field()
     rng = random.Random(seed)
     if field.q is not None:
         return {s: rng.randrange(field.q) for s in K.facets}
@@ -302,12 +296,10 @@ def sample_chain(K: SimplicialComplex, seed: int, field=None) -> dict:
 
 
 def random_identity_sweep(num_samples: int = 50, seed: int = 0,
-                          field=None) -> int:
+                          field=GF) -> int:
     """Sample (K, p, z) triples and count identity failures (expect 0)."""
     if num_samples < 1:
         raise BadParameters("samples must be at least 1")
-    if field is None:
-        field = default_field()
     rng = random.Random(seed)
     failures = 0
     for t in range(num_samples):

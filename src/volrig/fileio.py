@@ -53,6 +53,11 @@ def parse_complex(text: str) -> SimplicialComplex:
     if len(parts) != 2:
         raise ParseError("header needs exactly `n d`", header_line)
     n, d = _ints(parts, "header entries", header_line)
+    # A negative d is refused before any facet line is read.  Under d = 0
+    # the first facet line is refused for its label count, and a file
+    # with no facet line after the last line.
+    if d < 0:
+        raise ParseError("facet cardinality must be positive", header_line)
     facets = []
     for no, parts in records:
         if len(parts) != d:

@@ -1,11 +1,15 @@
 """Exact dense linear algebra over a large prime field or the rationals.
 
+The two fields are values: GF, the prime field GF(DEFAULT_PRIME) that
+every randomized computation defaults to, and QQ, the rationals.
 Entries are plain Python ints (reduced mod q over a prime field) or, over
 the rationals, ints and fractions.Fraction, so all arithmetic is exact;
-there is no floating point anywhere in the package.  QQ's constants are
-the ints 0 and 1, so an integer matrix over QQ is eliminated in ints until
-a pivot other than +-1 appears, and `fractions` is imported only where a
-Fraction is made or tested.
+there is no floating point anywhere in the package.  The numbers the
+package makes over QQ, its constants 0 and 1 and its placement
+coordinates, are ints, and QQ.of, for outside input, returns a Fraction.
+So an integer matrix over QQ is eliminated in ints until a pivot other
+than +-1 appears, and `fractions` is imported only where a Fraction is
+made or tested.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ class PrimeField:
 
     __slots__ = ("q",)
 
-    def __init__(self, q: int = DEFAULT_PRIME):
+    def __init__(self, q: int):
         if q < 2:
             raise BadParameters("modulus must be at least 2, got %r" % (q,))
         self.q = q
@@ -172,10 +176,7 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-def default_field() -> PrimeField:
-    return PrimeField(DEFAULT_PRIME)
+GF = PrimeField(DEFAULT_PRIME)
 
 
 def echelon_insert(rows: list, vec, field):
@@ -414,15 +415,13 @@ class ExactMatrix:
 
 def sample_generic_matrix(nrows: int, ncols: int, seed: int,
                           first_column_ones: bool = False,
-                          field: PrimeField | None = None) -> ExactMatrix:
+                          field: PrimeField = GF) -> ExactMatrix:
     """Matrix with entries drawn uniformly from the field by a seeded RNG.
 
     Entries are drawn row by row, left to right, so the result is a pure
     function of (nrows, ncols, seed, field).  With first_column_ones the
     first column is overwritten with ones after sampling.
     """
-    if field is None:
-        field = default_field()
     if field.q is None:
         raise BadParameters("uniform sampling needs a finite field")
     if nrows < 0 or ncols < 0:

@@ -16,7 +16,7 @@ from functools import cache
 
 from .complexes import SimplicialComplex, as_face, build_complex
 from .errors import BadParameters, DimensionMismatch, MissingVertexCoordinates
-from .linalg import (QQ, ExactMatrix, check_dense_size, default_field,
+from .linalg import (GF, QQ, ExactMatrix, check_dense_size,
                      sample_generic_matrix)
 
 
@@ -37,18 +37,18 @@ RigidityReport = namedtuple(
     "corank trials seed trial_ranks arithmetic")
 
 
-def random_placement(n: int, d: int, seed: int, field=None) -> Placement:
+def random_placement(n: int, d: int, seed: int, field=GF) -> Placement:
     """Placement with coordinates drawn uniformly from a prime field, or
-    over QQ from the integers -999..999, row by row from Random(seed)."""
+    over QQ from the integers -999..999, row by row from Random(seed).
+    Over QQ the coordinates are ints, like every number the package
+    makes there (QQ.of, which makes Fractions, is for outside input)."""
     if d < 2:
         raise BadParameters("facet cardinality must be at least 2")
     if n < 1:
         raise BadParameters("need at least one vertex")
-    if field is None:
-        field = default_field()
     if field.q is None:
         rng = random.Random(seed)
-        rows = [[field.of(rng.randrange(-999, 1000)) for _ in range(d - 1)]
+        rows = [[rng.randrange(-999, 1000) for _ in range(d - 1)]
                 for _ in range(n)]
     else:
         rows = sample_generic_matrix(n, d - 1, seed, field=field).data
@@ -216,7 +216,7 @@ def _report(n: int, d: int, num_facets: int, trials: int, seed: int, ranks,
         n=n, d=d, num_facets=num_facets, generic_rank=best,
         target_rank=tgt, is_rigid=(best == tgt), corank=tgt - best,
         trials=trials, seed=seed, trial_ranks=tuple(ranks),
-        arithmetic=(default_field() if field is None else field).describe())
+        arithmetic=field.describe())
 
 
 def _placement_ranks(K: SimplicialComplex, trials: int, seed: int, field,
@@ -233,8 +233,6 @@ def _placement_ranks(K: SimplicialComplex, trials: int, seed: int, field,
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     check_dense_size((K.d - 1) * K.n, K.num_facets, "rigidity matrix")
-    if field is None:
-        field = default_field()
     order = _min_degree_order(K.n, K.facets)
     ranks = []
     for t in range(trials):
@@ -246,7 +244,7 @@ def _placement_ranks(K: SimplicialComplex, trials: int, seed: int, field,
 
 
 def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
-                 field=None) -> RigidityReport:
+                 field=GF) -> RigidityReport:
     """Max rank of the rigidity matrix over seeded random placements.
 
     A special placement can only lower the rank, so the max over trials
@@ -262,7 +260,7 @@ def generic_rank(K: SimplicialComplex, trials: int = 3, seed: int = 0,
 
 
 def is_volume_rigid(K: SimplicialComplex, trials: int = 3, seed: int = 0,
-                    field=None) -> bool:
+                    field=GF) -> bool:
     """Whether K is volume rigid, from up to trials placements: a yes
     stops at the first placement that reaches the target rank
     (_rank_until_rigid), a no ranks all of them and carries
@@ -287,7 +285,7 @@ def _rank_until_rigid(K: SimplicialComplex, trials: int, seed: int,
 
 
 def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
-                        field=None) -> bool:
+                        field=GF) -> bool:
     """Whether the given facet columns are independent for generic p.
 
     The first argument fixes the vertex count; a complex or a plain n
@@ -298,7 +296,7 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
-    n = K_or_n.n if isinstance(K_or_n, SimplicialComplex) else int(K_or_n)
+    n = K_or_n.n if isinstance(K_or_n, SimplicialComplex) else K_or_n
     faces = list(faces)
     if not faces:
         return True
@@ -309,5 +307,7 @@ def columns_independent(K_or_n, faces, trials: int = 3, seed: int = 0,
 
 def rational_rank(K: SimplicialComplex, seed: int = 0) -> int:
     """Rank over the rationals at the one integer placement seed, through
-    generic_rank's loop: provided for cross-checks on small instances."""
+    generic_rank's loop: provided for cross-checks on small instances.
+    The placement's coordinates are ints, so the matrix starts in ints,
+    but its pivots are not +-1 and elimination soon makes Fractions."""
     return _placement_ranks(K, 1, seed, QQ, None).generic_rank

@@ -20,8 +20,8 @@ from operator import le, mul
 from .complexes import SimplicialComplex, as_face, k_faces
 from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
                      SingularBasis, SizeExceedsDimension, VertexOutOfRange)
-from .linalg import (ExactMatrix, check_dense_size, default_field,
-                     echelon_insert, sample_generic_matrix)
+from .linalg import (GF, ExactMatrix, check_dense_size, echelon_insert,
+                     sample_generic_matrix)
 from .rigidity import Placement, _cofactors
 
 # Failed nonsingularity draws retry with seed + (attempt << 32), keeping
@@ -56,12 +56,10 @@ class GenericBasis:
         return self.matrix.minor(rows, cols, self._minors)
 
 
-def generic_basis(n: int, seed: int = 0, field=None) -> GenericBasis:
+def generic_basis(n: int, seed: int = 0, field=GF) -> GenericBasis:
     if n < 1:
         raise BadParameters("need at least one vertex")
     check_dense_size(n, n, "generic basis")
-    if field is None:
-        field = default_field()
     for attempt in range(_MAX_ATTEMPTS):
         m = sample_generic_matrix(n, n, seed + (attempt << _RESEED_SHIFT),
                                   first_column_ones=True, field=field)
@@ -347,7 +345,7 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
 
 
 def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",
-                         trials: int = 3, seed: int = 0, field=None) -> list:
+                         trials: int = 3, seed: int = 0, field=GF) -> list:
     """shifted_level over several independent bases, demanding agreement.
 
     Disagreement means at least one basis was degenerate; one round of
@@ -386,7 +384,7 @@ MembershipReport = namedtuple(
 
 
 def characteristic_membership(K: SimplicialComplex, trials: int = 3,
-                              seed: int = 0, field=None) -> MembershipReport:
+                              seed: int = 0, field=GF) -> MembershipReport:
     """Does the characteristic face sit in the shifted family of K?
 
     The face is a member when its compound vector raises the rank of the
@@ -418,8 +416,6 @@ def _membership(K: SimplicialComplex, trials: int, seed: int, field,
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
-    if field is None:
-        field = default_field()
     face = characteristic_face(K.d, K.n)
     check_dense_size(K.num_facets, (K.n - K.d) * (K.d - 1),
                      "membership span matrix")

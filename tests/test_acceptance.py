@@ -19,7 +19,7 @@ from volrig.cycles import (default_admissible, is_minimal_cycle,
                            random_identity_sweep, remove_facet_rigidity,
                            verify_dataset)
 from volrig.fileio import dataset_root, load_dataset
-from volrig.linalg import ExactMatrix, default_field
+from volrig.linalg import GF, ExactMatrix
 from volrig.rigidity import (generic_rank, random_placement, rigidity_matrix,
                              trivial_motion_basis)
 from volrig.shifting import (characteristic_membership, generic_basis,
@@ -27,8 +27,6 @@ from volrig.shifting import (characteristic_membership, generic_basis,
                              shifted_level, wedge_map_matrix)
 from volrig.sparsity import (SparsityParams, bipartite_complete_graph,
                              build_counterexample, is_tight)
-
-GF = default_field()
 
 
 def report(num, slug, status):

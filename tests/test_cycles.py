@@ -12,15 +12,15 @@ from helpers import (csaszar_torus, fresh_rng, matmul, octahedron,
 from volrig import (build_complex, contract_edge, cycles, facets_containing,
                     is_volume_rigid, k_faces, rigidity, shifting,
                     union_complex)
-from volrig.cycles import (GF2, SurfaceDataset, boundary_matrix,
-                           boundary_operator, chain_boundary, chain_vector,
-                           contraction_reduce, cycle_space,
-                           default_admissible, is_minimal_cycle,
+from volrig.cycles import (GF2, boundary_matrix, boundary_operator,
+                           chain_boundary, chain_vector, contraction_reduce,
+                           cycle_space, default_admissible, is_minimal_cycle,
                            random_identity_sweep, remove_facet_rigidity,
                            rigidity_boundary_identity, sample_chain,
                            surface_link_condition, verify_dataset)
 from volrig.errors import BadParameters, ChainOutsideComplex, InvalidFace
-from volrig.linalg import QQ, ExactMatrix, PrimeField, default_field
+from volrig.fileio import SurfaceDataset
+from volrig.linalg import GF, QQ, ExactMatrix, PrimeField
 from volrig.rigidity import (Placement, _rank_until_rigid,
                              columns_independent, generic_rank,
                              random_placement)
@@ -175,7 +175,7 @@ def test_sample_chain_covers_facets():
     K = octahedron()
     z = sample_chain(K, seed=2)
     assert set(z) == set(K.facets)
-    assert all(0 <= c < default_field().q for c in z.values())
+    assert all(0 <= c < GF.q for c in z.values())
     z = sample_chain(K, seed=2, field=QQ)
     assert set(z) == set(K.facets)
     assert all(isinstance(c, Fraction) and -99 <= c <= 99
@@ -215,7 +215,7 @@ def test_remove_last_facet_gives_empty_report():
     assert rep.generic_rank == 0
     assert rep.target_rank == 0
     assert rep.is_rigid
-    assert rep.arithmetic == default_field().describe()
+    assert rep.arithmetic == GF.describe()
     rep = remove_facet_rigidity(single_triangle(), (1, 2, 3), field=QQ)
     assert rep.arithmetic == "QQ"
 
@@ -474,7 +474,7 @@ def test_verify_dataset_checks_each_complex_on_its_own(monkeypatch):
     drawn = []
     real = shifting.generic_basis
 
-    def recording(n, seed=0, field=None):
+    def recording(n, seed=0, field=GF):
         drawn.append((n, seed))
         return real(n, seed, field)
 
@@ -512,7 +512,7 @@ def test_verify_dataset_keeps_one_complex_of_minors(monkeypatch):
     real_basis = shifting.generic_basis
     real_membership = cycles._membership
 
-    def recording(n, seed=0, field=None):
+    def recording(n, seed=0, field=GF):
         b = real_basis(n, seed, field)
         drawn.append((len(b._minors), b))
         return b

@@ -43,8 +43,10 @@ def test_parse_complex_missing_trailing_newline():
 
 
 def test_parse_complex_errors_carry_line_numbers():
-    # Comment and blank lines count, CRLF endings do not add lines, and
-    # the facet cardinality is checked only after every facet line.
+    # Comment and blank lines count, and CRLF endings do not add lines.
+    # A negative facet cardinality is refused at the header, before any
+    # facet line; d = 0 is refused at its first facet line, or after the
+    # last line when there is none.
     for text, message in (
             ("4 3\n1 2 3\n1 2\n", "line 3: expected 3 labels, found 2"),
             ("4 x\n1 2 3\n", "line 1: header entries must be integers"),
@@ -53,6 +55,7 @@ def test_parse_complex_errors_carry_line_numbers():
             ("", "empty input, no header line"),
             ("4 0\n", "line 1: facet cardinality must be positive"),
             ("\n# c\n4 -1\n\n", "line 3: facet cardinality must be positive"),
+            ("4 -1\n1 2 3\n", "line 1: facet cardinality must be positive"),
             ("4 0\n1 2 3", "line 2: expected 0 labels, found 3"),
             ("4\n1 2 3\n", "line 1: header needs exactly `n d`"),
             ("# c\r\n\r\n4 3\r\n1 2 3\r\n# c\r\n1 2\r\n",

@@ -10,12 +10,12 @@ import pytest
 from helpers import identity, tetra
 from volrig import build_complex
 from volrig.complexes import complete_complex
-from volrig.cycles import (SurfaceDataset, boundary_matrix,
-                           boundary_operator, remove_facet_rigidity,
-                           verify_dataset)
+from volrig.cycles import (boundary_matrix, boundary_operator,
+                           remove_facet_rigidity, verify_dataset)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            MissingVertexCoordinates, MixedDimension,
                            VertexOutOfRange)
+from volrig.fileio import SurfaceDataset
 from volrig.linalg import QQ, ExactMatrix, PrimeField, sample_generic_matrix
 from volrig.rigidity import (Placement, columns_independent, generic_rank,
                              is_volume_rigid, random_placement,
@@ -66,6 +66,8 @@ CHECKS = [
      MixedDimension),
     ("columns_independent face beyond n",
      lambda: columns_independent(3, [(1, 2, 4)]), VertexOutOfRange),
+    ("columns_independent float n",
+     lambda: columns_independent(4.7, [(1, 2, 3)]), VertexOutOfRange),
     # shifting
     ("generic_basis n<1", lambda: generic_basis(0), BadParameters),
     ("compound_vector sigma beyond the basis",
@@ -113,6 +115,10 @@ CHECKS = [
      MixedDimension),
     ("complete_complex d>n", lambda: complete_complex(3, 4),
      MixedDimension),
+    ("build_complex float n", lambda: build_complex(4.0, tetra().facets),
+     VertexOutOfRange),
+    ("build_complex bool n", lambda: build_complex(True, [(1,)]),
+     VertexOutOfRange),
     # cycles
     ("boundary_operator card<2", lambda: boundary_operator(tetra(), 1),
      BadParameters),

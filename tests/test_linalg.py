@@ -1,5 +1,6 @@
 """Exact matrix arithmetic: ranks, kernels, determinants, sampling."""
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -8,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import volrig
 from helpers import (cofactor, col, column, hstack, identity,
                      left_kernel_basis, matmul, submatrix, transpose)
+from volrig import (cli, complexes, cycles, fileio, linalg, rigidity,
+                    shifting, sparsity)
 from volrig.errors import BadParameters, DimensionMismatch, NotInvertible
-from volrig.linalg import (DEFAULT_PRIME, PRIME_TABLE, QQ, ExactMatrix,
-                           PrimeField, default_field, sample_generic_matrix)
-
-GF = default_field()
+from volrig.linalg import (DEFAULT_PRIME, GF, PRIME_TABLE, QQ, ExactMatrix,
+                           PrimeField, sample_generic_matrix)
 
 
 def permutation_det(rows):
@@ -66,6 +68,28 @@ def test_prime_table_is_prime():
         assert miller_rabin(q), q
     assert PRIME_TABLE[0] == DEFAULT_PRIME
     assert DEFAULT_PRIME.bit_length() == 62
+
+
+def test_every_field_parameter_defaults_to_a_field():
+    # GF and QQ are the only default fields: no public function takes
+    # field=None and picks a field inside.  PrimeField names its modulus.
+    assert GF == PrimeField(DEFAULT_PRIME)
+    with pytest.raises(TypeError):
+        PrimeField()
+    modules = (volrig, complexes, linalg, rigidity, shifting, sparsity,
+               fileio, cycles, cli)
+    functions = {getattr(m, name) for m in modules
+                 for name in dir(m) if not name.startswith("_")}
+    defaults = {}
+    for fn in functions:
+        if inspect.isfunction(fn) and fn.__module__.startswith("volrig"):
+            param = inspect.signature(fn).parameters.get("field")
+            if param and param.default is not inspect.Parameter.empty:
+                defaults[fn.__qualname__] = param.default
+    assert {"sample_chain", "random_identity_sweep", "generic_rank",
+            "shifted_level_stable", "verify_dataset"} <= set(defaults)
+    assert [name for name, f in defaults.items()
+            if f is not GF and f is not QQ] == []
 
 
 def test_prime_field_ops():

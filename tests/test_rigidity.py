@@ -13,7 +13,7 @@ from volrig import (Placement, build_complex, columns_independent, cone,
                     rigidity_matrix, simplex_matrix, trivial_motion_basis)
 from volrig.errors import (DimensionMismatch, InstanceTooLarge,
                            MissingVertexCoordinates)
-from volrig.linalg import QQ, PrimeField, default_field
+from volrig.linalg import GF, QQ, PrimeField
 from volrig.rigidity import (_min_degree_order, _ordered_rank,
                              rational_rank, target_rank)
 from volrig.sparsity import bipartite_complete_graph
@@ -213,12 +213,15 @@ def _placement(rng, n, d, field):
 def test_rational_placement_is_the_integer_stream():
     # `rank --exact` prints rational_rank, so its placement is pinned:
     # the integers -999..999 drawn from Random(seed), row by row, and
-    # ranked by the same loop as every generic rank over QQ.
+    # ranked by the same loop as every generic rank over QQ.  They are
+    # ints, equal to the Fractions QQ.of makes of the same stream.
     for n, d, seed in ((4, 2, 0), (7, 3, 5), (6, 4, 11), (9, 5, 123)):
         rng = fresh_rng(seed)
         coords = {v: tuple(QQ.of(rng.randrange(-999, 1000))
                            for _ in range(d - 1)) for v in range(1, n + 1)}
-        assert random_placement(n, d, seed, QQ).coords == coords
+        p = random_placement(n, d, seed, QQ)
+        assert p.coords == coords
+        assert all(type(x) is int for c in p.coords.values() for x in c)
     for K in (tetra(), octahedron(), cone(bipartite_complete_graph()),
               stacked_sphere(fresh_rng(4), 4, 9)):
         for seed in (0, 3):
@@ -233,7 +236,7 @@ def _assert_ordered_rank_is_rank(rng, K, field):
     return rank
 
 
-@pytest.mark.parametrize("field", [default_field(), PrimeField(7), QQ],
+@pytest.mark.parametrize("field", [GF, PrimeField(7), QQ],
                          ids=["default", "GF7", "QQ"])
 def test_ordered_rank_equals_natural_rank(field):
     rng = fresh_rng(8)
@@ -252,7 +255,7 @@ def test_ordered_rank_equals_natural_rank(field):
             assert rank == target_rank(n, d, K.num_facets)
 
 
-@pytest.mark.parametrize("field", [default_field(), PrimeField(7), QQ],
+@pytest.mark.parametrize("field", [GF, PrimeField(7), QQ],
                          ids=["default", "GF7", "QQ"])
 def test_rigidity_entries_are_cofactors(field):
     # Entries are read off one reduction of the lifted matrix per dropped

@@ -16,7 +16,7 @@ from volrig import (build_complex, complete_complex, cone, k_faces)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            GenericityFailure, InstanceTooLarge,
                            SingularBasis, SizeExceedsDimension)
-from volrig.linalg import (QQ, ExactMatrix, PrimeField, default_field,
+from volrig.linalg import (GF, QQ, ExactMatrix, PrimeField,
                            sample_generic_matrix)
 from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
 from volrig.shifting import (GenericBasis, _predecessor_count,
@@ -29,8 +29,6 @@ from volrig.shifting import (GenericBasis, _predecessor_count,
                              shifted_level, shifted_level_ordered,
                              shifted_level_stable, wedge_map_matrix)
 from volrig.sparsity import bipartite_complete_graph, build_counterexample
-
-GF = default_field()
 
 
 def test_componentwise_leq():
