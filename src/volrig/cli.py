@@ -32,12 +32,14 @@ from .sparsity import (SparsityParams, build_counterexample,
 EXACT_SIZE_LIMIT = 24
 
 # Caps on --trials and --samples, checked before any input is read: run
-# time grows linearly in both, and sigma0 keeps every trial's basis (with
-# its minor memo at d >= 5) until its verdict.  Every admitted rigidity
-# matrix has r(d-2) < 250,000 (r <= f, and (d-1)n f is within the entry
-# limit), so over the smallest table prime, 2^31 - 1, one trial misses the
-# generic rank with probability below 2^-13 (generic_rank's bound) and 64
-# trials below 2^-800.
+# time grows linearly in both.  Every admitted rigidity matrix has
+# r(d-2) < 250,000 (r <= f, and (d-1)n f is within the entry limit), so
+# over the smallest table prime, 2^31 - 1, one trial misses the generic
+# rank with probability below 2^-13 (generic_rank's bound) and 64 trials
+# below 2^-800.  The same bounds hold for sigma0 on a member, by
+# characteristic_membership's bound: a member has f >= |D| = 1 + P rows,
+# P = (n-d)(d-1) >= d-1, and f P is within the entry limit, so
+# |D|(d-1) <= (P+1)P < 250,000, while the n x n basis keeps n <= 500.
 COUNT_CAPS = (("trials", 64), ("samples", 10000))
 
 
@@ -402,6 +404,8 @@ def run_command(argv) -> tuple:
     for key, cap in COUNT_CAPS:
         if getattr(args, key, 0) > cap:
             return 2, "error: %s must be at most %d\n" % (key, cap)
+    if getattr(args, "seed", 0) < 0:
+        return 2, "error: seed must be at least 0\n"
     try:
         K = read_complex(args.infile) if "infile" in args else None
         code, lines, obj = args.handler(args, field, K)

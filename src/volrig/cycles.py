@@ -11,7 +11,6 @@ and drives edge-contraction reduction of surface triangulations.
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict, namedtuple
 from itertools import combinations
 
@@ -19,7 +18,8 @@ from .complexes import (SimplicialComplex, as_face, build_complex,
                         contract_edge, facets_containing, k_faces,
                         remove_facet)
 from .errors import BadParameters, ChainOutsideComplex
-from .linalg import GF, QQ, ExactMatrix, PrimeField, check_dense_size
+from .linalg import (GF, QQ, ExactMatrix, PrimeField, check_dense_size,
+                     seeded_rng)
 from .rigidity import (Placement, RigidityReport, _rank_until_rigid,
                        _report, _vertex_matrix, generic_rank,
                        random_placement, rigidity_matrix)
@@ -258,11 +258,10 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
     and characteristic_membership draw for it alone, so its entry does
     not depend on the rest of the dataset.  trials means "up to trials"
     for a rigid complex and a member: each test stops at the first
-    placement or basis that gives an exact certificate
-    (_rank_until_rigid, _membership with certify).  A flexible complex
-    or a non-member runs every trial and keeps the bound of all of them,
-    and each verdict is the one generic_rank and characteristic_membership
-    give.
+    placement or basis that certifies its verdict (_rank_until_rigid,
+    _membership with certify).  A flexible complex or a non-member runs
+    every trial and keeps the bound of all of them.  Either way each
+    verdict is the one generic_rank and characteristic_membership give.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
@@ -289,7 +288,7 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
 
 def sample_chain(K: SimplicialComplex, seed: int, field=GF) -> dict:
     """Random chain over K's facets for identity sweeps."""
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     if field.q is not None:
         return {s: rng.randrange(field.q) for s in K.facets}
     return {s: field.of(rng.randrange(-99, 100)) for s in K.facets}
@@ -300,7 +299,7 @@ def random_identity_sweep(num_samples: int = 50, seed: int = 0,
     """Sample (K, p, z) triples and count identity failures (expect 0)."""
     if num_samples < 1:
         raise BadParameters("samples must be at least 1")
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     failures = 0
     for t in range(num_samples):
         d = rng.choice([3, 4])

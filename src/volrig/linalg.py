@@ -413,6 +413,15 @@ class ExactMatrix:
                                                self.field.describe())
 
 
+def seeded_rng(seed: int) -> random.Random:
+    """random.Random(seed), refusing a negative seed: Random seeds with
+    |seed|, so seed -s would repeat the draws of seed s, and the trials
+    seed + t of a negative seed would not all differ."""
+    if seed < 0:
+        raise BadParameters("seed must be at least 0, got %d" % seed)
+    return random.Random(seed)
+
+
 def sample_generic_matrix(nrows: int, ncols: int, seed: int,
                           first_column_ones: bool = False,
                           field: PrimeField = GF) -> ExactMatrix:
@@ -426,7 +435,7 @@ def sample_generic_matrix(nrows: int, ncols: int, seed: int,
         raise BadParameters("uniform sampling needs a finite field")
     if nrows < 0 or ncols < 0:
         raise BadParameters("negative matrix shape")
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
     q = field.q
     data = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
     if first_column_ones and ncols > 0:

@@ -10,14 +10,13 @@ in the left kernel, so the best possible rank is
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
 from functools import cache
 
 from .complexes import SimplicialComplex, as_face, build_complex
 from .errors import BadParameters, DimensionMismatch, MissingVertexCoordinates
 from .linalg import (GF, QQ, ExactMatrix, check_dense_size,
-                     sample_generic_matrix)
+                     sample_generic_matrix, seeded_rng)
 
 
 class Placement(namedtuple("Placement", "d coords field")):
@@ -47,7 +46,7 @@ def random_placement(n: int, d: int, seed: int, field=GF) -> Placement:
     if n < 1:
         raise BadParameters("need at least one vertex")
     if field.q is None:
-        rng = random.Random(seed)
+        rng = seeded_rng(seed)
         rows = [[rng.randrange(-999, 1000) for _ in range(d - 1)]
                 for _ in range(n)]
     else:

@@ -127,11 +127,13 @@ def compound_vector(basis: GenericBasis, K: SimplicialComplex, sigma) -> list:
 
 def _face_rows(K: SimplicialComplex, k: int, basis: GenericBasis) -> list:
     """0-based index tuples of K's size-k faces in lex order: the row
-    indices of every size-k compound vector against K."""
+    indices of every size-k compound vector against K.  Built from lists:
+    CPython resizes a tuple built from a generator, so each call would
+    grow the free list of another tuple size, up to its cap."""
     if K.n != basis.n:
         raise DimensionMismatch("complex has n=%d, basis has n=%d"
                                 % (K.n, basis.n))
-    return [tuple(t - 1 for t in tau) for tau in k_faces(K, k - 1)]
+    return [tuple([t - 1 for t in tau]) for tau in k_faces(K, k - 1)]
 
 
 def _check_reductions(face_rows: list, n: int) -> None:
@@ -206,7 +208,7 @@ def _compound_rows(basis: GenericBasis, face_rows: list, sets) -> list:
     where a cofactor of size 4 or more costs a reduction of its own rows
     (one per face and r, instead of one per face), each entry is
     basis.minor, after _check_reductions."""
-    cols = [tuple(s - 1 for s in t) for t in sets]
+    cols = [tuple([s - 1 for s in t]) for t in sets]
     if len(face_rows[0]) not in (3, 4):
         _check_reductions(face_rows, basis.n)
         return [[basis.minor(rows, c) for c in cols] for rows in face_rows]
@@ -387,52 +389,45 @@ def characteristic_membership(K: SimplicialComplex, trials: int = 3,
                               seed: int = 0, field=GF) -> MembershipReport:
     """Does the characteristic face sit in the shifted family of K?
 
-    The face is a member when its compound vector raises the rank of the
-    vectors of its predecessors.  A degenerate basis can lower either
-    rank, so a single basis can err either way; the verdict compares the
-    best ranks over the bases generic_basis(n, seed + t), t < trials:
-    max rank(preds + face) > max rank(preds).  per_trial keeps each
-    basis's own vote, so every trial runs (_membership without certify).
+    MEMBER: some basis generic_basis(n, seed + t), t < trials, certified
+    it (_membership); per_trial holds each basis's definitional vote, so
+    every trial runs.  MEMBER is never wrong, nor NOT-MEMBER for a
+    non-member.  Let M_D hold the compound vectors of the face's down-set
+    D (characteristic_prefix), |D| = 1 + (n-d)(d-1).  A member's D lies
+    in its shifted family, so a generic basis gives M_D full column rank.
+    Each set in D holds label 1, whose basis column is all ones, so a
+    |D|-minor has degree at most |D|(d-1) in the basis entries, and a
+    nonsingular basis (det B has degree <= n-1) misses it with chance
+    at most |D|(d-1)/(q-n+1) (Schwartz-Zippel).  So t trials miss a
+    member with probability at most (|D|(d-1)/(q-n+1))^t, taking the
+    seeded draws as independent, as generic_rank does.
     """
     return _membership(K, trials, seed, field, False)
 
 
 def _membership(K: SimplicialComplex, trials: int, seed: int, field,
                 certify: bool) -> MembershipReport:
-    """The votes of the bases generic_basis(K.n, seed + t), t < trials, on
-    the characteristic face, and the best-rank verdict over them.
-
-    Each call draws its own bases, so their minor memos (k >= 5) hold one
-    complex's reductions, which _check_reductions bounds, and go with
-    the call.  A basis's two ranks differ by its vote, so unanimous votes
-    settle the comparison alone; mixed votes also need each basis's
-    predecessor rank.  With certify, basis 0 settles a member alone when
-    its yes vote is a certificate: its predecessor span has full column
-    rank c, no basis gives the predecessors a rank above c, and this one
-    gives rank c + 1 with the face, so the best-rank rule finds a member
-    whatever the other bases vote.  For a rigid complex the face's whole
-    down-set is in the shifted family, so the first basis certifies, and
-    per_trial holds its vote alone.
+    """characteristic_membership, stopping at the first certificate
+    under certify.  A basis certifies when it votes yes and its
+    predecessor span has full column rank: then M_D, the predecessors'
+    columns plus the face's, has full column rank at it, so a minor that
+    is an integer polynomial in the basis entries is nonzero mod q and
+    the face is a member over QQ, as a rank at the target is for RIGID.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     face = characteristic_face(K.d, K.n)
     check_dense_size(K.num_facets, (K.n - K.d) * (K.d - 1),
                      "membership span matrix")
-    bases, votes = [], []
+    votes, member = [], False
     for t in range(trials):
-        bases.append(generic_basis(K.n, seed + t, field=field))
-        votes.append(in_shifted_family(K, face, bases[t]))
-        if certify and t == 0 and votes[0]:
-            span = _predecessor_span(K, face, bases[0], "p")
-            if span.rank() == span.ncols:
+        basis = generic_basis(K.n, seed + t, field=field)
+        votes.append(in_shifted_family(K, face, basis))
+        if votes[-1] and not member:
+            span = _predecessor_span(K, face, basis, "p")
+            member = span.rank() == span.ncols
+            if member and certify:
                 break
-    member = all(votes)
-    if any(votes) and not member:
-        ranks = [_predecessor_span(K, face, b, "p").rank() for b in bases]
-        # The best rank with the face exceeds the best without it exactly
-        # when a basis voting yes reaches the best predecessor rank.
-        member = max(r for r, v in zip(ranks, votes) if v) == max(ranks)
     return MembershipReport(
         n=K.n, d=K.d, face=face, member=member, trials=trials, seed=seed,
         per_trial=tuple(votes), arithmetic=field.describe())

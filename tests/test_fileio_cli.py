@@ -428,6 +428,20 @@ def test_cli_sampling_commands_refuse_trials_below_one(tetra_file, tmp_path):
         2, "error: trials must be at most 64\n")
 
 
+def test_cli_refuses_negative_seeds_before_reading_input(tmp_path):
+    # random.Random(s) seeds with |s|, so seed -1 would rank the
+    # placements of seeds -1, 0, 1 as Random(1), Random(0), Random(1).
+    missing = os.path.join(tmp_path, "missing.txt")
+    for argv in (["rank", "--in", missing], ["rigid", "--in", missing],
+                 ["shift", "--in", missing], ["sigma0", "--in", missing],
+                 ["psi", "--d", "3", "--n", "5"],
+                 ["counterexample", "--d", "3"],
+                 ["boundary-id"],
+                 ["verify-dataset", "--dir", missing]):
+        assert run_command(argv + ["--seed", "-1"]) == (
+            2, "error: seed must be at least 0\n"), argv
+
+
 def test_cli_refuses_oversized_dense_matrices(tmp_path, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled a basis for an oversized instance")

@@ -11,7 +11,8 @@ from helpers import identity, tetra
 from volrig import build_complex
 from volrig.complexes import complete_complex
 from volrig.cycles import (boundary_matrix, boundary_operator,
-                           remove_facet_rigidity, verify_dataset)
+                           random_identity_sweep, remove_facet_rigidity,
+                           sample_chain, verify_dataset)
 from volrig.errors import (BadParameters, DimensionMismatch,
                            MissingVertexCoordinates, MixedDimension,
                            VertexOutOfRange)
@@ -42,6 +43,10 @@ CHECKS = [
      BadParameters),
     ("random_placement n<1", lambda: random_placement(0, 3, 0),
      BadParameters),
+    ("random_placement negative seed",
+     lambda: random_placement(6, 3, -1), BadParameters),
+    ("random_placement negative seed over QQ",
+     lambda: random_placement(6, 3, -1, field=QQ), BadParameters),
     ("simplex_matrix short coordinates",
      lambda: simplex_matrix(short_coordinates(), (1, 2, 3)),
      MissingVertexCoordinates),
@@ -70,6 +75,8 @@ CHECKS = [
      lambda: columns_independent(4.7, [(1, 2, 3)]), VertexOutOfRange),
     # shifting
     ("generic_basis n<1", lambda: generic_basis(0), BadParameters),
+    ("generic_basis negative seed", lambda: generic_basis(6, -2),
+     BadParameters),
     ("compound_vector sigma beyond the basis",
      lambda: compound_vector(generic_basis(3), tetra(), (1, 2, 4)),
      VertexOutOfRange),
@@ -131,6 +138,10 @@ CHECKS = [
      lambda: remove_facet_rigidity(build_complex(3, [(1, 2, 3)]), (1, 2, 3),
                                    trials=0),
      BadParameters),
+    ("sample_chain negative seed", lambda: sample_chain(tetra(), -1),
+     BadParameters),
+    ("random_identity_sweep negative seed",
+     lambda: random_identity_sweep(1, seed=-1), BadParameters),
     ("verify_dataset trials<1 on an empty dataset",
      lambda: verify_dataset(SurfaceDataset("x", 3, (), ""), trials=0),
      BadParameters),
@@ -147,6 +158,8 @@ CHECKS = [
      DimensionMismatch),
     ("sample_generic_matrix negative shape",
      lambda: sample_generic_matrix(-1, 2, 0), BadParameters),
+    ("sample_generic_matrix negative seed",
+     lambda: sample_generic_matrix(2, 2, -1), BadParameters),
 ]
 
 

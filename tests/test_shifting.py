@@ -13,9 +13,11 @@ from helpers import (cofactor, compound_vector_by_minors,
                      random_linear_extension, random_shifted_complex,
                      stacked_sphere, submatrix, tetra)
 from volrig import (build_complex, complete_complex, cone, k_faces)
+from volrig.cycles import verify_dataset
 from volrig.errors import (BadParameters, DimensionMismatch,
                            GenericityFailure, InstanceTooLarge,
                            SingularBasis, SizeExceedsDimension)
+from volrig.fileio import SurfaceDataset
 from volrig.linalg import (GF, QQ, ExactMatrix, PrimeField,
                            sample_generic_matrix)
 from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
@@ -527,6 +529,102 @@ def test_characteristic_membership_small_field_no_false_positive():
                                field=small)
     assert characteristic_membership(tetra(), trials=10, seed=0,
                                      field=small).member
+
+
+def _down_set_rank(K, basis):
+    """rank of M_D at basis: a row per facet F of K, a column per set t
+    of characteristic_prefix, the entry det B[F, t] by the basis
+    matrix's own det."""
+    prefix = characteristic_prefix(K.d, K.n)
+    rows = [[basis.matrix.det(tuple(v - 1 for v in F),
+                              tuple(v - 1 for v in t)) for t in prefix]
+            for F in K.facets]
+    return ExactMatrix(rows, basis.field).rank()
+
+
+def test_small_prime_yes_votes_are_no_certificate():
+    # Both GF(5) bases vote yes, but 3 facets cannot give the 3 x 4
+    # matrix M_D full column rank 4, so no basis certifies a member, in
+    # characteristic_membership or in verify_dataset.
+    K = build_complex(5, [(1, 2, 3, 4), (1, 2, 4, 5), (2, 3, 4, 5)])
+    small = PrimeField(5)
+    rep = characteristic_membership(K, trials=2, seed=624, field=small)
+    assert rep.per_trial == (True, True)
+    assert not rep.member
+    ds = verify_dataset(SurfaceDataset("x", 4, (K,), ""), 2, 624, small)
+    assert ds.entries[0]["member"] is False
+
+
+def test_member_iff_some_basis_gives_the_down_set_full_rank():
+    # MEMBER is exactly "some basis B_t = generic_basis(n, seed + t)
+    # gives M_D full column rank", with M_D built here from determinants.
+    # Small primes make degenerate bases common, so late certificates
+    # occur, and so do unanimous yes votes without a certificate, which
+    # a rule reading only the votes would call a member.
+    rng = fresh_rng(94)
+    members = late = unanimous = 0
+    for q in (5, 7, 13):
+        field = PrimeField(q)
+        for _ in range(150):
+            d = rng.choice([3, 4])
+            K = random_complex(rng, rng.randint(d + 1, 7), d)
+            trials, seed = rng.randint(1, 3), rng.randrange(1000)
+            rep = characteristic_membership(K, trials, seed, field)
+            full = len(characteristic_prefix(d, K.n))
+            certs = [_down_set_rank(K, generic_basis(K.n, seed + t, field))
+                     == full for t in range(trials)]
+            assert rep.member == any(certs)
+            assert len(rep.per_trial) == trials
+            assert all(v for v, c in zip(rep.per_trial, certs) if c)
+            members += rep.member
+            late += rep.member and not certs[0]
+            unanimous += all(rep.per_trial) and not rep.member
+    assert members and late and unanimous
+
+
+def test_membership_peak_memory_does_not_grow_with_trials():
+    # Each basis, with its memo of 14 reduced 13 x 14 blocks (about
+    # 60 KB), goes after its vote, so the peak is that of one basis.
+    K = complete_complex(14, 13)
+    characteristic_membership(K, trials=1)
+    peaks = []
+    for trials in (2, 10):
+        tracemalloc.start()
+        try:
+            characteristic_membership(K, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_characteristic_membership_runs_every_trial():
+    # The first basis certifies the tetrahedron, and the others still vote.
+    assert characteristic_membership(tetra()).per_trial == (True,) * 3
+
+
+def test_down_set_rank_equals_rigidity_rank_per_basis():
+    # The main theorem basis by basis: M_D and the rigidity matrix at
+    # placement_from_basis(B, d) have the same rank at every basis B,
+    # degenerate ones included (common over GF(5) and GF(7)).  |D| is
+    # the target rank, so "M_D has full column rank" is "K is rigid at
+    # B's placement".
+    rng = fresh_rng(101)
+    checks = 0
+    for field in (PrimeField(5), PrimeField(7), GF):
+        for d in (3, 4, 5, 6):
+            complexes = [random_complex(rng, rng.randint(d + 1, d + 3), d)
+                         for _ in range(8)]
+            complexes += [build_counterexample(d),
+                          stacked_sphere(rng, d, d + 4)]
+            for K in complexes:
+                for _ in range(2):
+                    b = generic_basis(K.n, rng.randrange(10 ** 6), field)
+                    p = placement_from_basis(b, d)
+                    assert _down_set_rank(K, b) == \
+                        rigidity_matrix(K, p).rank(), (field.q, K.facets)
+                    checks += 1
+    assert checks == 240
 
 
 def test_wedge_matrix_rank_and_kernel():
