@@ -287,11 +287,12 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
 
 
 def sample_chain(K: SimplicialComplex, seed: int, field=GF) -> dict:
-    """Random chain over K's facets for identity sweeps."""
+    """Random chain over K's facets for identity sweeps: field elements
+    drawn uniformly, or over QQ ints from -99..99."""
     rng = seeded_rng(seed)
     if field.q is not None:
         return {s: rng.randrange(field.q) for s in K.facets}
-    return {s: field.of(rng.randrange(-99, 100)) for s in K.facets}
+    return {s: rng.randrange(-99, 100) for s in K.facets}
 
 
 def random_identity_sweep(num_samples: int = 50, seed: int = 0,

@@ -181,8 +181,8 @@ GF = PrimeField(DEFAULT_PRIME)
 
 def echelon_insert(rows: list, vec, field):
     """Reduce vec against semi-echelon rows: the one elimination routine,
-    behind ExactMatrix's rank, span, determinant and kernel and the spans
-    of shifting.
+    behind ExactMatrix's rank, span, determinant and kernel, the spans
+    of shifting and the cofactors of rigidity from d = 5 on.
 
     A row is (pivot, [(column, entry)] of its nonzeros): its pivot entry
     is one and every earlier row's pivot column is zero in it.  So
@@ -246,6 +246,26 @@ def _det_at(data, rows, cols, field):
              + a[k] * (b[i] * c[j] - b[j] * c[i]))
     q = field.q
     return x % q if q else x
+
+
+def _last_column_cofactors(a, b, c, e, i, j, l, q):
+    """The four coefficients (-1)^(r+1) det(the rows other than the r-th
+    of a, b, c, e at columns i, j, l), r = 0..3: expanding det of the
+    rows at columns (i, j, l, t) along its last column gives the sum of
+    coefficient r times row r's entry at t.  They are built from the six
+    2 x 2 minors at (j, l), each reduced once mod q (not at all for q
+    None, over QQ)."""
+    ab = a[j] * b[l] - a[l] * b[j]
+    ac = a[j] * c[l] - a[l] * c[j]
+    ae = a[j] * e[l] - a[l] * e[j]
+    bc = b[j] * c[l] - b[l] * c[j]
+    be = b[j] * e[l] - b[l] * e[j]
+    ce = c[j] * e[l] - c[l] * e[j]
+    out = (c[i] * be - b[i] * ce - e[i] * bc,
+           a[i] * ce - c[i] * ae + e[i] * ac,
+           b[i] * ae - a[i] * be - e[i] * ab,
+           a[i] * bc - b[i] * ac + c[i] * ab)
+    return [x % q for x in out] if q else list(out)
 
 
 def _signed_leads(vectors, field):
@@ -362,9 +382,12 @@ class ExactMatrix:
 
     def minor(self, rows: tuple, cols, memo: dict):
         """det at a 0-based row index tuple and ascending column indices:
-        the one routine behind compound coordinates, wedge entries and
-        rigidity cofactors (compound vectors and predecessor spans of
-        size 3 and 4 expand theirs instead: shifting._compound_rows).
+        the compound coordinates of the level walks and, at k <= 2 and
+        k >= 5, of compound vectors and predecessor spans (at k = 3 and
+        4 shifting._compound_rows expands them instead), the cofactors
+        of rigidity and wedge matrices at d <= 3 and at facets whose
+        block is singular (rigidity._cofactors), and the minors of
+        cycles.rigidity_boundary_identity.
 
         Up to 3 x 3 this is det.  Above, M[rows, :] = L R is reduced
         once, memoised in memo under rows (len(rows) x ncols entries),

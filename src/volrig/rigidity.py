@@ -15,7 +15,8 @@ from functools import cache
 
 from .complexes import SimplicialComplex, as_face, build_complex
 from .errors import BadParameters, DimensionMismatch, MissingVertexCoordinates
-from .linalg import (GF, QQ, ExactMatrix, check_dense_size,
+from .linalg import (GF, QQ, ExactMatrix, _last_column_cofactors,
+                     _reduced, _signed_leads, check_dense_size,
                      sample_generic_matrix, seeded_rng)
 
 
@@ -91,17 +92,61 @@ def _column_drops(d: int) -> tuple:
     return tuple((c, (*range(c - 1), *range(c, d))) for c in range(2, d + 1))
 
 
-def _cofactors(A: ExactMatrix, sigma, memo: dict):
+def _cofactors(A: ExactMatrix, sigma, memo: dict) -> list:
     """(v, c, (-1)^(d-t) det A[sigma minus v, [d] minus c]) for v the t-th
     vertex of sigma, d = len(sigma) and 2 <= c <= d: the one cofactor
-    routine, its minors read with ExactMatrix.minor and memo."""
+    routine.  Up to d = 3 each is A.minor, a closed-form det; at d = 4
+    each c gives all four vertices' entries at once
+    (linalg._last_column_cofactors); from d = 5 on they are read off one
+    reduction per facet (_cramer_cofactors), which leaves out zero
+    entries, and a facet whose block is singular takes A.minor for each
+    vertex, its reductions memoised in memo."""
     d, f = len(sigma), A.field
     drops = _column_drops(d)
+    out = []
+    if d == 4:
+        a, b, c, e = [A.data[u - 1] for u in sigma]
+        for col, cols in drops:
+            out += zip(sigma, (col,) * 4,
+                       _last_column_cofactors(a, b, c, e, *cols, f.q))
+        return out
+    if d >= 5:
+        entries = _cramer_cofactors(A, sigma)
+        if entries is not None:
+            return entries
     for t, v in enumerate(sigma, start=1):
         rows = tuple(u - 1 for u in sigma if u != v)
         for c, cols in drops:
             x = A.minor(rows, cols, memo)
-            yield v, c, f.neg(x) if (d - t) % 2 else x
+            out.append((v, c, f.neg(x) if (d - t) % 2 else x))
+    return out
+
+
+def _cramer_cofactors(A: ExactMatrix, sigma):
+    """_cofactors' nonzero entries of sigma by Cramer's rule, or None
+    when M, the rows of sigma at A's first d columns, is singular.
+
+    [M | I] is reduced once (_signed_leads, _reduced).  When every pivot
+    lands in M's half, the product of the leads is det M and the reduced
+    form is [I | M^-1].  The entry of (v, c), v the t-th vertex of
+    sigma, is (-1)^(d-t) times the minor of M at (t, c), that is
+    (-1)^(d+c) times its cofactor det M (M^-1)[c-1][t-1] (Cramer's rule).
+    """
+    d, f = len(sigma), A.field
+    q, zero = f.q, f.zero
+    block = ([*A.data[u - 1][:d], *[zero] * t, f.one, *[zero] * (d - 1 - t)]
+             for t, u in enumerate(sigma))
+    ech, det = _signed_leads(block, f)
+    if any(p >= d for p, _ in ech):
+        return None
+    signs = (det, f.neg(det))
+    out = []
+    for p, terms in _reduced(ech, 2 * d, f):
+        if p:
+            s = signs[(d + p + 1) % 2]
+            out += [(sigma[j - d], p + 1, s * x % q if q else s * x)
+                    for j, x in terms[1:]]
+    return out
 
 
 def rigidity_matrix(K: SimplicialComplex, p: Placement) -> ExactMatrix:
@@ -110,7 +155,8 @@ def rigidity_matrix(K: SimplicialComplex, p: Placement) -> ExactMatrix:
     Row (v-1)(d-1) + c-2 differentiates with respect to coordinate c-1
     of vertex v, 2 <= c <= d; its entry at facet sigma is (-1)^(c-1)
     times _cofactors' entry (v, c) of sigma on the vertex matrix (1 | p),
-    a cofactor of sigma's lifted simplex matrix.  At p =
+    a cofactor of sigma's lifted simplex matrix; the zeros _cofactors
+    leaves out (from d = 5 on) stay zero.  At p =
     placement_from_basis(b, d) that matrix is b's first d columns, so
     this is wedge_map_matrix(b, d, K.facets) transposed, with those
     signs.  Every vertex 1..n needs coordinates, isolated ones included.

@@ -15,13 +15,13 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate, combinations, groupby, takewhile
 from math import comb
-from operator import le, mul
+from operator import le
 
 from .complexes import SimplicialComplex, as_face, k_faces
 from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
                      SingularBasis, SizeExceedsDimension, VertexOutOfRange)
-from .linalg import (GF, ExactMatrix, check_dense_size, echelon_insert,
-                     sample_generic_matrix)
+from .linalg import (GF, ExactMatrix, _last_column_cofactors,
+                     check_dense_size, echelon_insert, sample_generic_matrix)
 from .rigidity import Placement, _cofactors
 
 # Failed nonsingularity draws retry with seed + (attempt << 32), keeping
@@ -221,8 +221,10 @@ def _expanded_row(basis: GenericBasis, rows: tuple, groups: list) -> list:
     """The entries det B[rows, head + (last,)] of one face, for each
     (head, lasts) in groups and each last in lasts, by expansion along
     the last column.  At k = 3 the 2 x 2 cofactors and the products are
-    written out, with one reduction mod q per entry (none over QQ); at
-    k = 4 the cofactors are basis.minor's closed-form 3 x 3 minors."""
+    written out; at k = 4 the signed 3 x 3 cofactors come from the
+    face's six 2 x 2 minors at the head's last two labels
+    (linalg._last_column_cofactors).  Each entry is reduced once mod q
+    (not at all over QQ)."""
     data, q = basis.matrix.data, basis.field.q
     vecs = [data[r] for r in rows]
     out = []
@@ -237,13 +239,14 @@ def _expanded_row(basis: GenericBasis, rows: tuple, groups: list) -> list:
             else:
                 out += [a[t] * x + b[t] * y + c[t] * z for t in lasts]
         return out
-    k = len(rows)
+    a, b, c, e = vecs
     for head, lasts in groups:
-        cof = [basis.minor(rows[:r] + rows[r + 1:], head) for r in range(k)]
-        cof = [-x if (r + k - 1) % 2 else x for r, x in enumerate(cof)]
-        for t in lasts:
-            x = sum(map(mul, cof, [v[t] for v in vecs]))
-            out.append(x % q if q else x)
+        w, x, y, z = _last_column_cofactors(a, b, c, e, *head, q)
+        if q:
+            out += [(a[t] * w + b[t] * x + c[t] * y + e[t] * z) % q
+                    for t in lasts]
+        else:
+            out += [a[t] * w + b[t] * x + c[t] * y + e[t] * z for t in lasts]
     return out
 
 

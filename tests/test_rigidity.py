@@ -14,8 +14,8 @@ from volrig import (Placement, build_complex, columns_independent, cone,
 from volrig.errors import (DimensionMismatch, InstanceTooLarge,
                            MissingVertexCoordinates)
 from volrig.linalg import GF, QQ, PrimeField
-from volrig.rigidity import (_min_degree_order, _ordered_rank,
-                             rational_rank, target_rank)
+from volrig.rigidity import (_cramer_cofactors, _min_degree_order,
+                             _ordered_rank, rational_rank, target_rank)
 from volrig.sparsity import bipartite_complete_graph
 
 
@@ -255,25 +255,54 @@ def test_ordered_rank_equals_natural_rank(field):
             assert rank == target_rank(n, d, K.num_facets)
 
 
-@pytest.mark.parametrize("field", [GF, PrimeField(7), QQ],
-                         ids=["default", "GF7", "QQ"])
+def _singular_placement(d, field):
+    """A placement of n = d + 2 vertices in (d-1)-space on the moment
+    curve, except that p(5) = p(1) + p(2) - p(3), and at d >= 6 also
+    p(6) = 2 p(1) - p(2): facets holding 1, 2, 3 and 5 have affinely
+    dependent points, and (1, ..., 6) has a block of rank 4."""
+    coords = {v: [v ** i for i in range(1, d)] for v in range(1, d + 3)}
+    coords[5] = [x + y - z for x, y, z in zip(coords[1], coords[2], coords[3])]
+    if d >= 6:
+        coords[6] = [2 * x - y for x, y in zip(coords[1], coords[2])]
+    return Placement(d=d, coords={v: tuple(field.of(x) if field.q else x
+                                           for x in c)
+                                  for v, c in coords.items()}, field=field)
+
+
+def _assert_cofactors(K, p):
+    m = rigidity_matrix(K, p)
+    d = K.d
+    for col, sigma in enumerate(K.facets):
+        lifted = simplex_matrix(p, sigma)
+        for j, v in enumerate(sigma):
+            for i in range(d - 1):
+                assert m.data[(v - 1) * (d - 1) + i][col] == \
+                    cofactor(lifted, i, j)
+
+
+@pytest.mark.parametrize("field", [GF, PrimeField(5), PrimeField(7), QQ],
+                         ids=["default", "GF5", "GF7", "QQ"])
 def test_rigidity_entries_are_cofactors(field):
-    # Entries are read off one reduction of the lifted matrix per dropped
-    # coordinate row; the per-entry cofactor is the oracle.  Over GF(7)
-    # placements are often degenerate, so some lifted rows are dependent
-    # and some reductions have their pivots out of place.
+    # Up to d = 4 entries are closed forms; from d = 5 on they are read
+    # off one reduction of [M | I] per facet, M the facet's lifted block.
+    # The per-entry cofactor is the oracle.  Over GF(5) and GF(7)
+    # placements are often degenerate, so some blocks are singular and
+    # take the per-vertex minors instead, as do the facets of the
+    # hand-made placements at d = 5 and 6, whose points are affinely
+    # dependent.
     rng = fresh_rng(21)
-    for d in range(3, 9):
+    for d in range(3, 13):
         n = d + 2
-        K = random_complex(rng, n, d, f=6)
-        p = _placement(rng, n, d, field)
-        m = rigidity_matrix(K, p)
-        for col, sigma in enumerate(K.facets):
-            lifted = simplex_matrix(p, sigma)
-            for j, v in enumerate(sigma):
-                for i in range(d - 1):
-                    assert m.data[(v - 1) * (d - 1) + i][col] == \
-                        cofactor(lifted, i, j)
+        _assert_cofactors(random_complex(rng, n, d, f=6),
+                          _placement(rng, n, d, field))
+    for d in (5, 6):
+        p = _singular_placement(d, field)
+        singular = [(1, 2, 3, 4, 5, 6, 7)[:d],
+                    (1, 2, 3, 5, 6, 7, 8)[:d - 1] + (d + 2,)]
+        K = build_complex(d + 2, singular + [tuple(range(3, d + 3))])
+        A = volrig.rigidity._vertex_matrix(p, K.n)
+        assert all(_cramer_cofactors(A, s) is None for s in singular)
+        _assert_cofactors(K, p)
 
 
 def test_min_degree_order():

@@ -684,10 +684,11 @@ def test_wedge_entries_are_signed_cofactors():
     # Entry at (row sigma, column (i,v)) for v the j-th vertex of sigma
     # equals (-1)^(i-1) times the cofactor of the lifted simplex matrix
     # deleting coordinate row i-1 and vertex column j.  Both parities of
-    # d, minors past 3 x 3 (d >= 5, read off memoised reductions) and a
-    # shuffled list of row faces are covered.
+    # d, the closed form at d = 4, the reduction of [M | I] per row face
+    # from d = 5 on (M the first d basis columns at the face's rows, not
+    # the whole rows), and a shuffled list of row faces are covered.
     rng = fresh_rng(53)
-    for d in range(3, 7):
+    for d in range(3, 9):
         for n in (d + 1, d + 2):
             b = generic_basis(n, seed=n + 10 * d)
             p = placement_from_basis(b, d)
