@@ -109,13 +109,12 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
     A = _vertex_matrix(p, K.n)
     lhs = rigidity_matrix(K, p).mul_vec(chain_vector(K, chain, field))
     rhs = [field.zero] * len(lhs)
-    memo = {}
     for tau, coeff in chain_boundary(K, chain, field).items():
         for j, v in enumerate(tau, start=1):
             rows = tuple(u - 1 for u in tau if u != v)
             for i in range(1, d):
                 cols = tuple(c for c in range(1, d) if c != i)
-                term = field.mul(A.minor(rows, cols, memo), coeff)
+                term = field.mul(A.det(rows, cols), coeff)
                 if (j + d + i) % 2:
                     term = field.neg(term)
                 at = (v - 1) * (d - 1) + (i - 1)

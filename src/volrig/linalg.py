@@ -40,9 +40,10 @@ DEFAULT_PRIME = PRIME_TABLE[0]
 # span matrix of any set (checked from the count of predecessors, before
 # they are listed), the wedge matrix on all C(n,d) sets or on given
 # faces, and the boundary matrix.  Sparsity
-# completion holds its a n - b facets to the same number, and compound
-# coordinates their f_{k-1} memoised k x n reductions of basis rows
-# (levels at k >= 4, vectors and spans at k >= 5).  On a 2-core VM
+# completion holds its a n - b facets to the same number, and a generic
+# basis its minor memo, the one memo of reductions: f_{k-1} k x n
+# reductions of basis rows (levels at k >= 4, vectors and spans at
+# k >= 5).  On a 2-core VM
 # (Python 3.11) sampling and checking an n = 500 basis (250k entries)
 # took 15 s and 67 MB, growing as n^3; a
 # 250k-entry wedge matrix builds and eliminates in under a second; the
@@ -273,7 +274,8 @@ def _signed_leads(vectors, field):
     their leads, signed by the order of their pivots, or (None, zero)
     when they are dependent.  When the vectors are the rows of a k x k
     matrix that product is its determinant: in pivot order the leads sit
-    on the diagonal, and each inversion flips the sign."""
+    on the diagonal, and each inversion flips the sign.  Over QQ a whole
+    product is an int (_whole)."""
     q = field.q
     ech, det = [], field.one
     for vec in vectors:
@@ -284,7 +286,13 @@ def _signed_leads(vectors, field):
             lead = -lead
         ech.append(row)
         det = det * lead % q if q else det * lead
-    return ech, det
+    return ech, det if q else _whole(det)
+
+
+def _whole(x):
+    """A rational x as an int when it is whole, like every number the
+    package makes over QQ, where elimination makes Fractions."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _reduced(ech: list, n: int, field) -> list:
@@ -309,8 +317,8 @@ class ExactMatrix:
     Python arithmetic (reduced mod q over a prime field, bare int and
     Fraction operators over QQ: an integer matrix stays in ints until a
     pivot other than +-1).  Determinants and minors up to 3 x 3 use
-    closed forms instead (_det_at), and minor reads minors above 3 x 3
-    off one memoised reduction of their rows.
+    closed forms instead (_det_at).  Nothing is memoised here: the one
+    minor memo is a generic basis's (shifting.GenericBasis.minor).
     """
 
     __slots__ = ("nrows", "ncols", "data", "field")
@@ -379,53 +387,6 @@ class ExactMatrix:
             raise DimensionMismatch("determinant of a %dx%d matrix"
                                     % (len(rows), len(cols)))
         return _det_at(self.data, rows, cols, self.field)
-
-    def minor(self, rows: tuple, cols, memo: dict):
-        """det at a 0-based row index tuple and ascending column indices:
-        the compound coordinates of the level walks and, at k <= 2 and
-        k >= 5, of compound vectors and predecessor spans (at k = 3 and
-        4 shifting._compound_rows expands them instead), the cofactors
-        of rigidity and wedge matrices at d <= 3 and at facets whose
-        block is singular (rigidity._cofactors), and the minors of
-        cycles.rigidity_boundary_identity.
-
-        Up to 3 x 3 this is det.  Above, M[rows, :] = L R is reduced
-        once, memoised in memo under rows (len(rows) x ncols entries),
-        with R in reduced echelon form, its rows sorted by pivot, and
-        lead = det L.  The minor is lead det R[:, cols].  R's pivot
-        columns are unit vectors, so this is lead times
-        (-1)^(sum of out + sum of miss) det R[miss, out], for the rows
-        miss whose pivots cols leave out and the positions out in cols
-        of the columns that replace them: one entry of R when cols miss
-        one pivot, a small determinant when they miss more.
-        """
-        k = len(rows)
-        if k <= 3:
-            return self.det(rows, cols)
-        if len(cols) != k:
-            raise DimensionMismatch("determinant of a %dx%d matrix"
-                                    % (k, len(cols)))
-        f, n = self.field, self.ncols
-        red = memo.get(rows)
-        if red is None:
-            ech, lead = _signed_leads((self.data[r] for r in rows), f)
-            where, rref = [None] * n, []
-            for i, (p, terms) in enumerate(sorted(_reduced(ech, n, f))
-                                           if ech else ()):
-                where[p] = i
-                rref.append([f.zero] * n)
-                for j, x in terms:
-                    rref[i][j] = x
-            red = memo[rows] = (lead, where, rref)
-        lead, where, rref = red
-        hit = [where[c] for c in cols]
-        if lead and None in hit:
-            out = [t for t, i in enumerate(hit) if i is None]
-            miss = sorted(set(range(k)).difference(hit))
-            lead = f.mul(lead, _det_at(rref, miss, [cols[t] for t in out], f))
-            if (sum(out) + sum(miss)) % 2:
-                lead = f.neg(lead)
-        return lead
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and other.field == self.field

@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 
-from .complexes import SimplicialComplex, as_face, build_complex
+from .complexes import (SimplicialComplex, _sorted_complex, as_face,
+                        build_complex)
 from .errors import BadParameters, DimensionMismatch, MissingVertexCoordinates
 from .linalg import (GF, QQ, ExactMatrix, _last_column_cofactors,
-                     _reduced, _signed_leads, check_dense_size,
+                     _reduced, _signed_leads, _whole, check_dense_size,
                      sample_generic_matrix, seeded_rng)
 
 
@@ -92,15 +93,15 @@ def _column_drops(d: int) -> tuple:
     return tuple((c, (*range(c - 1), *range(c, d))) for c in range(2, d + 1))
 
 
-def _cofactors(A: ExactMatrix, sigma, memo: dict) -> list:
+def _cofactors(A: ExactMatrix, sigma) -> list:
     """(v, c, (-1)^(d-t) det A[sigma minus v, [d] minus c]) for v the t-th
     vertex of sigma, d = len(sigma) and 2 <= c <= d: the one cofactor
-    routine.  Up to d = 3 each is A.minor, a closed-form det; at d = 4
-    each c gives all four vertices' entries at once
+    routine.  Up to d = 3 each is A.det, a closed form; at d = 4 each c
+    gives all four vertices' entries at once
     (linalg._last_column_cofactors); from d = 5 on they are read off one
     reduction per facet (_cramer_cofactors), which leaves out zero
-    entries, and a facet whose block is singular takes A.minor for each
-    vertex, its reductions memoised in memo."""
+    entries, and a facet whose block is singular takes A.det for each
+    entry."""
     d, f = len(sigma), A.field
     drops = _column_drops(d)
     out = []
@@ -117,7 +118,7 @@ def _cofactors(A: ExactMatrix, sigma, memo: dict) -> list:
     for t, v in enumerate(sigma, start=1):
         rows = tuple(u - 1 for u in sigma if u != v)
         for c, cols in drops:
-            x = A.minor(rows, cols, memo)
+            x = A.det(rows, cols)
             out.append((v, c, f.neg(x) if (d - t) % 2 else x))
     return out
 
@@ -131,6 +132,7 @@ def _cramer_cofactors(A: ExactMatrix, sigma):
     form is [I | M^-1].  The entry of (v, c), v the t-th vertex of
     sigma, is (-1)^(d-t) times the minor of M at (t, c), that is
     (-1)^(d+c) times its cofactor det M (M^-1)[c-1][t-1] (Cramer's rule).
+    Over QQ a whole entry is an int (linalg._whole).
     """
     d, f = len(sigma), A.field
     q, zero = f.q, f.zero
@@ -144,7 +146,7 @@ def _cramer_cofactors(A: ExactMatrix, sigma):
     for p, terms in _reduced(ech, 2 * d, f):
         if p:
             s = signs[(d + p + 1) % 2]
-            out += [(sigma[j - d], p + 1, s * x % q if q else s * x)
+            out += [(sigma[j - d], p + 1, s * x % q if q else _whole(s * x))
                     for j, x in terms[1:]]
     return out
 
@@ -168,7 +170,7 @@ def rigidity_matrix(K: SimplicialComplex, p: Placement) -> ExactMatrix:
     A = _vertex_matrix(p, K.n)
     m = ExactMatrix.zeros(k * K.n, K.num_facets, f)
     for col, sigma in enumerate(K.facets):
-        for v, c, x in _cofactors(A, sigma, {}):
+        for v, c, x in _cofactors(A, sigma):
             m.data[(v - 1) * k + c - 2][col] = x if c % 2 else f.neg(x)
     return m
 
@@ -228,20 +230,17 @@ def _min_degree_order(n: int, faces) -> list:
 def _ordered_rank(K: SimplicialComplex, p: Placement, order) -> int:
     """Rank of K's rigidity matrix at p, eliminated with little fill.
 
-    Eliminates the transpose: one row per facet, sorted by the sorted
-    positions of its vertices in order, and one column per coordinate
-    row of the rigidity matrix, vertex by vertex in order.  Permuting
-    and transposing leave the rank unchanged.
+    Ranks the rigidity matrix of K relabelled so that order[i] becomes
+    i + 1, at p carried along: its rows come vertex by vertex in order
+    and its facet columns lex in the new labels.  Relabelling permutes
+    rows and columns and flips the signs of some columns, which leaves
+    the rank unchanged.
     """
-    m = rigidity_matrix(K, p)
-    k = K.d - 1
-    pos = {v: i for i, v in enumerate(order)}
-    coord_rows = [(v - 1) * k + i for v in order for i in range(k)]
-    face_cols = sorted(range(K.num_facets),
-                       key=lambda c: sorted(pos[v] for v in K.facets[c]))
-    by_face = list(zip(*(m.data[r] for r in coord_rows)))
-    return ExactMatrix([list(by_face[c]) for c in face_cols],
-                       m.field, _trusted=True).rank()
+    pos = {v: i for i, v in enumerate(order, start=1)}
+    K2 = _sorted_complex(K.n, [tuple(sorted(pos[v] for v in sigma))
+                               for sigma in K.facets])
+    p2 = p._replace(coords={pos[v]: p.vector(v) for v in range(1, K.n + 1)})
+    return rigidity_matrix(K2, p2).rank()
 
 
 def target_rank(n: int, d: int, num_facets: int) -> int:
@@ -269,11 +268,11 @@ def _placement_ranks(K: SimplicialComplex, trials: int, seed: int, field,
     """Ranks of the rigidity matrix at the placements seed + t, t < trials,
     stopping after the first rank equal to stop_rank (None: never).
 
-    Each rank eliminates the transpose of the rigidity matrix with
-    vertices in greedy minimum-degree order (_min_degree_order, computed
-    once per call) and facets sorted by their vertices' positions in it,
-    which keeps the sparse matrix from filling in.  Permuting rows and
-    columns and transposing leave the rank unchanged.
+    Each rank is that of the complex relabelled into greedy
+    minimum-degree vertex order (_min_degree_order, computed once per
+    call; _ordered_rank), whose rows and lex-ordered facet columns keep
+    the sparse matrix from filling in.  Relabelling leaves the rank
+    unchanged.
     """
     if trials < 1:
         raise BadParameters("trials must be at least 1")

@@ -20,8 +20,9 @@ from operator import le
 from .complexes import SimplicialComplex, as_face, k_faces
 from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
                      SingularBasis, SizeExceedsDimension, VertexOutOfRange)
-from .linalg import (GF, ExactMatrix, _last_column_cofactors,
-                     check_dense_size, echelon_insert, sample_generic_matrix)
+from .linalg import (GF, ExactMatrix, _det_at, _last_column_cofactors,
+                     _reduced, _signed_leads, check_dense_size,
+                     echelon_insert, sample_generic_matrix)
 from .rigidity import Placement, _cofactors
 
 # Failed nonsingularity draws retry with seed + (attempt << 32), keeping
@@ -48,12 +49,48 @@ class GenericBasis:
     def field(self):
         return self.matrix.field
 
-    def minor(self, rows, cols):
-        """det of the basis matrix restricted to the given 0-based row and
-        column index tuples: ExactMatrix.minor with a memo on this basis,
-        so the sets of a level at k >= 4, or of a vector or span at
-        k >= 5, share one reduction of each face's rows."""
-        return self.matrix.minor(rows, cols, self._minors)
+    def minor(self, rows: tuple, cols):
+        """det of the basis matrix at a 0-based row index tuple and
+        ascending column indices: the compound coordinates of the level
+        walks and, at k <= 2 and k >= 5, of compound vectors and spans.
+        Up to 3 x 3 this is the matrix's det.  Above, M[rows, :] = L R is
+        reduced once and memoised in _minors under rows (k x n entries),
+        which the sets of a level at k >= 4, or of a vector or span at
+        k >= 5, share: R in reduced echelon form, its rows sorted by
+        pivot, and lead = det L.  The minor is lead det R[:, cols].  R's
+        pivot columns are unit vectors, so this is lead times
+        (-1)^(sum of out + sum of miss) det R[miss, out], for the rows
+        miss whose pivots cols leave out and the positions out in cols
+        of the columns that replace them: one entry of R when cols miss
+        one pivot, a small determinant when they miss more.
+        """
+        k = len(rows)
+        if k <= 3:
+            return self.matrix.det(rows, cols)
+        if len(cols) != k:
+            raise DimensionMismatch("determinant of a %dx%d matrix"
+                                    % (k, len(cols)))
+        f, n = self.field, self.n
+        red = self._minors.get(rows)
+        if red is None:
+            ech, lead = _signed_leads((self.matrix.data[r] for r in rows), f)
+            where, rref = [None] * n, []
+            for i, (p, terms) in enumerate(sorted(_reduced(ech, n, f))
+                                           if ech else ()):
+                where[p] = i
+                rref.append([f.zero] * n)
+                for j, x in terms:
+                    rref[i][j] = x
+            red = self._minors[rows] = (lead, where, rref)
+        lead, where, rref = red
+        hit = [where[c] for c in cols]
+        if lead and None in hit:
+            out = [t for t, i in enumerate(hit) if i is None]
+            miss = sorted(set(range(k)).difference(hit))
+            lead = f.mul(lead, _det_at(rref, miss, [cols[t] for t in out], f))
+            if (sum(out) + sum(miss)) % 2:
+                lead = f.neg(lead)
+        return lead
 
 
 def generic_basis(n: int, seed: int = 0, field=GF) -> GenericBasis:
@@ -464,7 +501,7 @@ def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:
                 raise VertexOutOfRange("row face %r exceeds n=%d" % (s, n))
     out = ExactMatrix.zeros(len(rows), (d - 1) * n, basis.field)
     for r, sigma in enumerate(rows):
-        for v, c, x in _cofactors(basis.matrix, sigma, basis._minors):
+        for v, c, x in _cofactors(basis.matrix, sigma):
             out.data[r][(c - 2) * n + v - 1] = x
     return out
 

@@ -2,7 +2,7 @@
 matrix operations only tests use."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from volrig import build_complex, cone, facets_containing, k_faces, relabel
 from volrig.errors import ContractionAnnihilates, NotAnEdge
@@ -83,6 +83,26 @@ def random_shifted_complex(rng, n, d, seeds=2):
     family = {t for t in pool
               if any(componentwise_leq(t, top) for top in tops)}
     return build_complex(n, sorted(family))
+
+
+def isomorphism_classes(n, d):
+    """Every nonempty pure complex of d-sets on 1..n up to relabelling,
+    by brute force: one canonical facet tuple per class, the least
+    sorted tuple of facets over all n! relabellings, in sorted order.
+    Each facet set not yet seen marks its whole orbit seen."""
+    pool = list(combinations(range(1, n + 1), d))
+    perms = [dict(zip(range(1, n + 1), p))
+             for p in permutations(range(1, n + 1))]
+    seen, classes = set(), []
+    for size in range(1, len(pool) + 1):
+        for faces in combinations(pool, size):
+            if faces in seen:
+                continue
+            orbit = {tuple(sorted(tuple(sorted(p[v] for v in f))
+                                  for f in faces)) for p in perms}
+            seen |= orbit
+            classes.append(min(orbit))
+    return sorted(classes)
 
 
 def cone_with_smallest_apex(L):

@@ -22,7 +22,8 @@ from volrig.rigidity import (Placement, columns_independent, generic_rank,
                              is_volume_rigid, random_placement,
                              rational_rank, rigidity_matrix, simplex_matrix,
                              trivial_motion_basis)
-from volrig.shifting import (_predecessors, characteristic_membership,
+from volrig.shifting import (GenericBasis, _predecessors,
+                             characteristic_membership,
                              compound_vector, generic_basis,
                              in_shifted_family, placement_from_basis,
                              shifted_level, shifted_level_stable,
@@ -153,8 +154,8 @@ CHECKS = [
      lambda: identity(2, QQ).in_column_span([1, 2, 3]),
      DimensionMismatch),
     ("minor with k != len(cols)",
-     lambda: identity(4, QQ).minor((0, 1, 2, 3), (0, 1, 2),
-                                                   {}),
+     lambda: GenericBasis(4, identity(4, QQ)).minor((0, 1, 2, 3),
+                                                    (0, 1, 2)),
      DimensionMismatch),
     ("sample_generic_matrix negative shape",
      lambda: sample_generic_matrix(-1, 2, 0), BadParameters),

@@ -8,15 +8,16 @@ import pytest
 import volrig.rigidity
 from helpers import (cofactor, fresh_rng, matmul, octahedron,
                      random_complex, single_triangle, stacked_sphere, tetra)
-from volrig import (Placement, build_complex, columns_independent, cone,
-                    generic_rank, is_volume_rigid, random_placement,
-                    rigidity_matrix, simplex_matrix, trivial_motion_basis)
+from volrig import (Placement, build_complex, columns_independent,
+                    complete_complex, cone, generic_rank, is_volume_rigid,
+                    random_placement, rigidity_matrix, simplex_matrix,
+                    trivial_motion_basis)
 from volrig.errors import (DimensionMismatch, InstanceTooLarge,
                            MissingVertexCoordinates)
 from volrig.linalg import GF, QQ, PrimeField
 from volrig.rigidity import (_cramer_cofactors, _min_degree_order,
                              _ordered_rank, rational_rank, target_rank)
-from volrig.sparsity import bipartite_complete_graph
+from volrig.sparsity import bipartite_complete_graph, build_counterexample
 
 
 def unit_placement():
@@ -248,6 +249,12 @@ def test_ordered_rank_equals_natural_rank(field):
                 _assert_ordered_rank_is_rank(rng, K, field)
         _assert_ordered_rank_is_rank(
             rng, build_complex(3 * d, [tuple(range(1, d + 1))]), field)
+    # The ordered rank eliminates coordinate rows, so tall matrices (the
+    # counterexamples at d = 6 and 8, 50 x 21 and 84 x 29) and a wide one
+    # (all 120 triangles on 10 vertices, 20 x 120) are ranked as well.
+    for K in (build_counterexample(6), build_counterexample(8),
+              complete_complex(10, 3)):
+        _assert_ordered_rank_is_rank(rng, K, field)
     for d, n in ((3, 90), (4, 50)):
         K = stacked_sphere(rng, d, n)
         rank = _assert_ordered_rank_is_rank(rng, K, field)
@@ -287,7 +294,7 @@ def test_rigidity_entries_are_cofactors(field):
     # off one reduction of [M | I] per facet, M the facet's lifted block.
     # The per-entry cofactor is the oracle.  Over GF(5) and GF(7)
     # placements are often degenerate, so some blocks are singular and
-    # take the per-vertex minors instead, as do the facets of the
+    # read each entry as its own det instead, as do the facets of the
     # hand-made placements at d = 5 and 6, whose points are affinely
     # dependent.
     rng = fresh_rng(21)
@@ -303,6 +310,25 @@ def test_rigidity_entries_are_cofactors(field):
         A = volrig.rigidity._vertex_matrix(p, K.n)
         assert all(_cramer_cofactors(A, s) is None for s in singular)
         _assert_cofactors(K, p)
+
+
+def test_rational_entries_are_ints():
+    # Over QQ at an integer placement every entry is an integer cofactor,
+    # and the numbers the package makes over QQ are ints: the Cramer
+    # entries from d = 5 on, and the dets that singular blocks take
+    # instead, are never Fractions with denominator 1.
+    for d in range(3, 13):
+        m = rigidity_matrix(build_counterexample(d),
+                            random_placement(d + 4, d, 1, QQ))
+        assert all(type(x) is int for row in m.data for x in row)
+    for d in (5, 6):
+        p = _singular_placement(d, QQ)
+        K = build_complex(d + 2, [(1, 2, 3, 4, 5, 6, 7)[:d],
+                                  (1, 2, 3, 5, 6, 7, 8)[:d - 1] + (d + 2,),
+                                  tuple(range(3, d + 3))])
+        m = rigidity_matrix(K, p)
+        assert all(type(x) is int for row in m.data for x in row)
+        assert type(simplex_matrix(p, K.facets[-1]).det()) is int
 
 
 def test_min_degree_order():
