@@ -16,18 +16,11 @@ import os
 import sys
 from math import comb
 
-from .complexes import contract_edge
-from .cycles import (GF2, contraction_reduce, cycle_space, spans_minimal_cycle,
-                     random_identity_sweep, verify_dataset)
+# Modules that only some subcommands reach are held as module references,
+# so a job executes only the ones its handler uses (see __init__).
+from . import complexes, cycles, fileio, rigidity, shifting, sparsity
 from .errors import BadParameters, VolrigError
-from .fileio import (ENV_DATA_DIR, dataset_root, load_dataset, read_complex,
-                     write_complex)
 from .linalg import PRIME_TABLE, QQ, PrimeField, check_dense_size
-from .rigidity import generic_rank, rational_rank
-from .shifting import (characteristic_membership, generic_basis,
-                       shifted_level_stable, wedge_map_matrix)
-from .sparsity import (SparsityParams, build_counterexample,
-                       complete_to_sparse_basis, is_sparse, is_tight)
 
 EXACT_SIZE_LIMIT = 24
 
@@ -65,7 +58,7 @@ def _face_str(face) -> str:
 def _payload(args, K, lines, obj):
     """Send the resulting complex to --out, or inline it into the report."""
     if args.out:
-        write_complex(K, args.out)
+        fileio.write_complex(K, args.out)
         lines.append("wrote %s" % args.out)
     else:
         lines.append("facets:")
@@ -83,7 +76,7 @@ def _exact_rank_line(K, args, lines, obj):
         lines.append("exact-rank skipped (instance too large)")
         obj["exact_rank"] = None
         return None
-    r = rational_rank(K, seed=args.seed)
+    r = rigidity.rational_rank(K, seed=args.seed)
     lines.append("exact-rank %d %s" % (r, _suffix("QQ")))
     obj["exact_rank"] = r
     return r
@@ -91,7 +84,8 @@ def _exact_rank_line(K, args, lines, obj):
 
 def _cmd_rank(args, field, K):
     """rank, and rigid, whose verdict an --exact rank can lift to RIGID."""
-    rep = generic_rank(K, trials=args.trials, seed=args.seed, field=field)
+    rep = rigidity.generic_rank(K, trials=args.trials, seed=args.seed,
+                                field=field)
     lines = [_shape(K),
              "trial-ranks %s" % ",".join(str(r) for r in rep.trial_ranks),
              "rank %d target %d %s" % (rep.generic_rank, rep.target_rank,
@@ -109,9 +103,9 @@ def _cmd_rank(args, field, K):
 
 def _cmd_shift(args, field, K):
     level = args.level if args.level is not None else K.d
-    faces = shifted_level_stable(K, level, order=args.order,
-                                 trials=args.trials, seed=args.seed,
-                                 field=field)
+    faces = shifting.shifted_level_stable(K, level, order=args.order,
+                                          trials=args.trials, seed=args.seed,
+                                          field=field)
     lines = ["level %d order %s count %d %s"
              % (level, args.order, len(faces),
                 _suffix(field.describe(), args.trials))]
@@ -122,8 +116,8 @@ def _cmd_shift(args, field, K):
 
 
 def _cmd_sigma0(args, field, K):
-    rep = characteristic_membership(K, trials=args.trials, seed=args.seed,
-                                    field=field)
+    rep = shifting.characteristic_membership(K, trials=args.trials,
+                                             seed=args.seed, field=field)
     lines = ["face %s" % _face_str(rep.face),
              _verdict("MEMBER", rep.member, rep.arithmetic, rep.trials)]
     obj = rep._asdict()
@@ -140,8 +134,9 @@ def _cmd_psi(args, field, _):
     check_dense_size(rows, cols, "wedge map matrix")
     best = 0
     for t in range(args.trials):
-        basis = generic_basis(args.n, seed=args.seed + t, field=field)
-        best = max(best, wedge_map_matrix(basis, args.d).rank())
+        basis = shifting.generic_basis(args.n, seed=args.seed + t,
+                                       field=field)
+        best = max(best, shifting.wedge_map_matrix(basis, args.d).rank())
     kernel = cols - best
     lines = ["d %d n %d rows %d cols %d" % (args.d, args.n, rows, cols),
              "rank %d kernel %d %s" % (best, kernel,
@@ -155,14 +150,14 @@ def _params_for(args, K) -> tuple:
     """The sparsity counts, their report line and their JSON keys."""
     if (args.a is None) != (args.b is None):
         raise VolrigError("--a and --b must be given together")
-    params = (SparsityParams.volume_regime(K.d) if args.a is None
-              else SparsityParams(a=args.a, b=args.b, d=K.d))
+    params = (sparsity.SparsityParams.volume_regime(K.d) if args.a is None
+              else sparsity.SparsityParams(a=args.a, b=args.b, d=K.d))
     return params, "params a %d b %d d %d" % params, params._asdict()
 
 
 def _cmd_sparsity(args, field, K):
     params, line, obj = _params_for(args, K)
-    ok, witness = is_sparse(K, params)
+    ok, witness = sparsity.is_sparse(K, params)
     lines = [line, _verdict("SPARSE", ok, "exact")]
     if witness is not None:
         lines.append("witness %s" % _face_str(witness))
@@ -173,7 +168,7 @@ def _cmd_sparsity(args, field, K):
 
 def _cmd_tight(args, field, K):
     params, line, obj = _params_for(args, K)
-    tight = is_tight(K, params)
+    tight = sparsity.is_tight(K, params)
     bound = params.bound(K.n)
     lines = [line, "facets %d bound %d" % (K.num_facets, bound),
              _verdict("TIGHT", tight, "exact")]
@@ -184,7 +179,7 @@ def _cmd_tight(args, field, K):
 
 def _cmd_complete_basis(args, field, K):
     params, line, obj = _params_for(args, K)
-    result = complete_to_sparse_basis(K, params)
+    result = sparsity.complete_to_sparse_basis(K, params)
     added = result.num_facets - K.num_facets
     lines = [line, "added %d" % added, _shape(result)]
     obj["added"] = added
@@ -198,12 +193,13 @@ def _cmd_counterexample(args, field, _):
     # completion itself gets slow as d grows.  No d < 3 reaches the limit.
     check_dense_size((args.d - 1) * (args.d + 4), 4 * args.d - 3,
                      "rigidity matrix")
-    K = build_counterexample(args.d)
-    params = SparsityParams.volume_regime(args.d)
-    tight = is_tight(K, params)
-    rep = generic_rank(K, trials=args.trials, seed=args.seed, field=field)
-    mem = characteristic_membership(K, trials=args.trials, seed=args.seed,
-                                    field=field)
+    K = sparsity.build_counterexample(args.d)
+    params = sparsity.SparsityParams.volume_regime(args.d)
+    tight = sparsity.is_tight(K, params)
+    rep = rigidity.generic_rank(K, trials=args.trials, seed=args.seed,
+                                field=field)
+    mem = shifting.characteristic_membership(K, trials=args.trials,
+                                             seed=args.seed, field=field)
     lines = [_shape(K), _verdict("TIGHT", tight, "exact"),
              _verdict("RIGID", rep.is_rigid, rep.arithmetic, rep.trials),
              _verdict("SIGMA0", mem.member, mem.arithmetic, mem.trials)]
@@ -224,11 +220,11 @@ def _cmd_contract(args, field, K):
             u, w = int(parts[0]), int(parts[1])
         except ValueError:
             raise VolrigError("--edge wants two integers")
-        result = contract_edge(K, u, w)
+        result = complexes.contract_edge(K, u, w)
         lines = ["contracted %d %d" % (u, w), _shape(result)]
         obj = {"edge": [u, w]}
     else:
-        result, log = contraction_reduce(K)
+        result, log = cycles.contraction_reduce(K)
         lines = ["steps %d" % len(log),
                  "log %s" % ";".join("%d,%d" % e for e in log),
                  _shape(result)]
@@ -238,9 +234,9 @@ def _cmd_contract(args, field, K):
 
 
 def _cmd_homology(args, field, K):
-    coeff = GF2 if args.mod2 else QQ
-    space = cycle_space(K, coeff)
-    minimal = spans_minimal_cycle(space)
+    coeff = cycles.GF2 if args.mod2 else QQ
+    space = cycles.cycle_space(K, coeff)
+    minimal = cycles.spans_minimal_cycle(space)
     arith = coeff.describe()
     lines = ["cycle-dim %d %s" % (space.ncols, _suffix(arith)),
              _verdict("MINIMAL-CYCLE", minimal, arith)]
@@ -249,8 +245,8 @@ def _cmd_homology(args, field, K):
 
 
 def _cmd_boundary_id(args, field, _):
-    failures = random_identity_sweep(args.samples, seed=args.seed,
-                                     field=field)
+    failures = cycles.random_identity_sweep(args.samples, seed=args.seed,
+                                            field=field)
     lines = ["samples %d failures %d" % (args.samples, failures),
              _verdict("IDENTITY", failures == 0, field.describe(),
                       args.samples)]
@@ -259,15 +255,17 @@ def _cmd_boundary_id(args, field, _):
 
 
 def _cmd_verify_dataset(args, field, _):
-    root = args.dir or dataset_root()
+    root = args.dir or fileio.dataset_root()
     if root is None:
-        env = os.environ.get(ENV_DATA_DIR)
+        env = os.environ.get(fileio.ENV_DATA_DIR)
         if env:
-            raise VolrigError("%s=%s is not a directory" % (ENV_DATA_DIR, env))
+            raise VolrigError("%s=%s is not a directory"
+                              % (fileio.ENV_DATA_DIR, env))
         raise VolrigError("no dataset directory: set VOLRIG_DATA or pass --dir")
     path = root if args.name is None else os.path.join(root, args.name)
-    ds = load_dataset(path, name=args.name)
-    rep = verify_dataset(ds, trials=args.trials, seed=args.seed, field=field)
+    ds = fileio.load_dataset(path, name=args.name)
+    rep = cycles.verify_dataset(ds, trials=args.trials, seed=args.seed,
+                                field=field)
     lines = ["dataset %s size %d" % (rep.name, rep.size)]
     for e in rep.entries:
         lines.append("entry %d n %d facets %d rank %d target %d rigid %s "
@@ -407,7 +405,7 @@ def run_command(argv) -> tuple:
     if getattr(args, "seed", 0) < 0:
         return 2, "error: seed must be at least 0\n"
     try:
-        K = read_complex(args.infile) if "infile" in args else None
+        K = fileio.read_complex(args.infile) if "infile" in args else None
         code, lines, obj = args.handler(args, field, K)
     except (VolrigError, OSError) as e:
         return 2, "error: %s\n" % e

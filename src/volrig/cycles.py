@@ -14,16 +14,15 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from itertools import combinations
 
+# Only the rigidity, identity and dataset checks reach these two modules,
+# so boundaries, cycle spaces and contraction leave them unexecuted.
+from . import rigidity, shifting
 from .complexes import (SimplicialComplex, as_face, build_complex,
                         contract_edge, facets_containing, k_faces,
                         remove_facet)
 from .errors import BadParameters, ChainOutsideComplex
 from .linalg import (GF, QQ, ExactMatrix, PrimeField, check_dense_size,
                      seeded_rng)
-from .rigidity import (Placement, RigidityReport, _rank_until_rigid,
-                       _report, _vertex_matrix, generic_rank,
-                       random_placement, rigidity_matrix)
-from .shifting import _membership
 
 GF2 = PrimeField(2)
 
@@ -93,7 +92,7 @@ def chain_boundary(K: SimplicialComplex, chain: dict, field) -> dict:
     return {t: c for t, c in zip(k_faces(K, K.d - 2), vec) if c != 0}
 
 
-def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
+def rigidity_boundary_identity(K: SimplicialComplex, p: rigidity.Placement,
                                chain: dict) -> bool:
     """Check, entry by entry, that the rigidity matrix applied to a chain
     equals the boundary-side expression.
@@ -106,8 +105,8 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
     the faces of the chain's boundary.
     """
     d, field = K.d, p.field
-    A = _vertex_matrix(p, K.n)
-    lhs = rigidity_matrix(K, p).mul_vec(chain_vector(K, chain, field))
+    A = rigidity._vertex_matrix(p, K.n)
+    lhs = rigidity.rigidity_matrix(K, p).mul_vec(chain_vector(K, chain, field))
     rhs = [field.zero] * len(lhs)
     for tau, coeff in chain_boundary(K, chain, field).items():
         for j, v in enumerate(tau, start=1):
@@ -123,14 +122,15 @@ def rigidity_boundary_identity(K: SimplicialComplex, p: Placement,
 
 
 def remove_facet_rigidity(K: SimplicialComplex, face, trials: int = 3,
-                          seed: int = 0, field=GF) -> RigidityReport:
+                          seed: int = 0, field=GF) -> rigidity.RigidityReport:
     """Rigidity report for the complex with one facet deleted."""
     if trials < 1:
         raise BadParameters("trials must be at least 1")
     rest = remove_facet(K, face)
     if rest is None:
-        return _report(K.n, K.d, 0, trials, seed, (0,) * trials, field)
-    return generic_rank(rest, trials=trials, seed=seed, field=field)
+        return rigidity._report(K.n, K.d, 0, trials, seed, (0,) * trials,
+                                field)
+    return rigidity.generic_rank(rest, trials=trials, seed=seed, field=field)
 
 
 def _link(K: SimplicialComplex, v: int) -> set:
@@ -266,10 +266,10 @@ def verify_dataset(ds: SurfaceDataset, trials: int = 3, seed: int = 0,
         raise BadParameters("trials must be at least 1")
     entries = []
     for idx, K in enumerate(ds.complexes):
-        rep = _rank_until_rigid(K, trials, seed, field)
+        rep = rigidity._rank_until_rigid(K, trials, seed, field)
         mem = None
         if K.d >= 3 and K.n >= K.d + 1:
-            mem = _membership(K, trials, seed, field, True).member
+            mem = shifting._membership(K, trials, seed, field, True).member
         entries.append({
             "index": idx, "n": K.n, "d": K.d, "facets": K.num_facets,
             "rank": rep.generic_rank, "target": rep.target_rank,
@@ -306,7 +306,7 @@ def random_identity_sweep(num_samples: int = 50, seed: int = 0,
         n = rng.randint(d + 1, 7)
         pool = list(combinations(range(1, n + 1), d))
         K = build_complex(n, rng.sample(pool, rng.randint(1, len(pool))))
-        p = random_placement(n, d, seed + 7919 * t + 1, field=field)
+        p = rigidity.random_placement(n, d, seed + 7919 * t + 1, field=field)
         z = sample_chain(K, seed + 104729 * t + 2, field=field)
         if not rigidity_boundary_identity(K, p, z):
             failures += 1

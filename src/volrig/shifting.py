@@ -17,13 +17,15 @@ from itertools import accumulate, combinations, groupby, takewhile
 from math import comb
 from operator import le
 
+# Only the wedge map and placement_from_basis reach rigidity, so sigma0 and
+# shift leave it unexecuted.
+from . import rigidity
 from .complexes import SimplicialComplex, as_face, k_faces
 from .errors import (BadParameters, DimensionMismatch, GenericityFailure,
                      SingularBasis, SizeExceedsDimension, VertexOutOfRange)
 from .linalg import (GF, ExactMatrix, _det_at, _last_column_cofactors,
                      _reduced, _signed_leads, check_dense_size,
                      echelon_insert, sample_generic_matrix)
-from .rigidity import Placement, _cofactors
 
 # Failed nonsingularity draws retry with seed + (attempt << 32), keeping
 # distinct attempts and distinct base seeds from colliding.
@@ -501,15 +503,15 @@ def wedge_map_matrix(basis: GenericBasis, d: int, faces=None) -> ExactMatrix:
                 raise VertexOutOfRange("row face %r exceeds n=%d" % (s, n))
     out = ExactMatrix.zeros(len(rows), (d - 1) * n, basis.field)
     for r, sigma in enumerate(rows):
-        for v, c, x in _cofactors(basis.matrix, sigma):
+        for v, c, x in rigidity._cofactors(basis.matrix, sigma):
             out.data[r][(c - 2) * n + v - 1] = x
     return out
 
 
-def placement_from_basis(basis: GenericBasis, d: int) -> Placement:
+def placement_from_basis(basis: GenericBasis, d: int) -> rigidity.Placement:
     """Read a placement off basis columns 2..d: vertex v gets row v."""
     if d < 2 or d > basis.n:
         raise BadParameters("need 2 <= d <= n, got d=%d n=%d" % (d, basis.n))
     coords = {v: tuple(basis.matrix.data[v - 1][1:d])
               for v in range(1, basis.n + 1)}
-    return Placement(d=d, coords=coords, field=basis.field)
+    return rigidity.Placement(d=d, coords=coords, field=basis.field)

@@ -4,7 +4,9 @@ Each command runs through run_command in a directory holding small
 fixed inputs; the SHA-256 of its exit code and full report must match
 the digest recorded in cli_golden.txt.  The digests were recorded once
 and are not regenerated by the tests: a changed digest means a changed
-report.
+report.  The help and usage texts are digested by their words: argparse
+wraps lines and quotes choices differently from one Python release to
+the next, but the words and their order are volrig's.
 """
 
 import hashlib
@@ -84,6 +86,14 @@ COMMANDS = [
     "verify-dataset --dir mixed --trials 5 --seed 3 --prime 2 --json",
 ]
 
+SUBCOMMANDS = ("rank", "rigid", "shift", "sigma0", "psi", "sparsity",
+               "tight", "complete-basis", "counterexample", "contract",
+               "homology", "boundary-id", "verify-dataset")
+# Top-level help, each subcommand's help, and an unknown subcommand,
+# whose usage error lists every subcommand.
+HELP = (["--help"] + ["%s --help" % name for name in SUBCOMMANDS]
+        + ["bogus"])
+
 
 def write_inputs(root):
     stacked = stacked_sphere(fresh_rng(3), 3, 9)
@@ -112,8 +122,11 @@ def write_inputs(root):
 
 
 def report_digest(command):
-    """SHA-256 of the exit code and the full report, run in the cwd."""
+    """SHA-256 of the exit code and the full report, run in the cwd; of
+    the report's words without quotes for help and usage text."""
     code, text = run_command(command.split())
+    if command in HELP:
+        text = " ".join(text.replace("'", "").split())
     return hashlib.sha256(("%d\n%s" % (code, text)).encode()).hexdigest()
 
 
@@ -129,7 +142,9 @@ def recorded():
         return dict(line.rstrip("\n").split("  ", 1)[::-1] for line in fh)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", COMMANDS + HELP)
 def test_cli_report_matches_recorded_digest(command, inputs, monkeypatch):
     monkeypatch.chdir(inputs)
+    # argparse wraps help to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
     assert report_digest(command) == recorded()[command]

@@ -150,14 +150,14 @@ def test_identity_fails_on_a_perturbed_rigidity_matrix(monkeypatch):
     # Every sampled chain is nonzero on every facet, so shifting one entry
     # of the rigidity matrix changes one entry of its product with the
     # chain, and the checker must say so.
-    honest = cycles.rigidity_matrix
+    honest = rigidity.rigidity_matrix
 
     def perturbed(K, p):
         m = honest(K, p)
         m.data[0][0] = p.field.add(m.data[0][0], p.field.one)
         return m
 
-    monkeypatch.setattr(cycles, "rigidity_matrix", perturbed)
+    monkeypatch.setattr(rigidity, "rigidity_matrix", perturbed)
     K = octahedron()
     p = random_placement(6, 3, seed=1)
     assert not rigidity_boundary_identity(K, p, sample_chain(K, seed=2))
@@ -509,7 +509,7 @@ def test_verify_dataset_keeps_one_complex_of_minors(monkeypatch):
     drawn = []
     held = []
     real_basis = shifting.generic_basis
-    real_membership = cycles._membership
+    real_membership = shifting._membership
 
     def recording(n, seed=0, field=GF):
         b = real_basis(n, seed, field)
@@ -524,7 +524,7 @@ def test_verify_dataset_keeps_one_complex_of_minors(monkeypatch):
         return rep
 
     monkeypatch.setattr(shifting, "generic_basis", recording)
-    monkeypatch.setattr(cycles, "_membership", watching)
+    monkeypatch.setattr(shifting, "_membership", watching)
     rep = verify_dataset(ds, trials=2)
     assert rep.member_count == 6
     assert len(held) == 6

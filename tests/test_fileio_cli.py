@@ -353,7 +353,7 @@ def test_cli_exact_rank_can_certify_rigidity(tetra_file, monkeypatch):
             generic_rank=rep.generic_rank - 1, is_rigid=False, corank=1,
             trial_ranks=tuple(r - 1 for r in rep.trial_ranks))
 
-    monkeypatch.setattr(volrig.cli, "generic_rank", short)
+    monkeypatch.setattr(volrig.rigidity, "generic_rank", short)
     code, text = run_command(["rigid", "--in", tetra_file])
     assert code == 1 and "NOT-RIGID" in text
     code, text = run_command(["rigid", "--in", tetra_file, "--exact"])
@@ -600,13 +600,89 @@ def test_cli_refuses_shifting_level_before_counting_faces(tmp_path):
 
 def loaded_after(stmt, *names):
     """Which of the named modules stmt loads, in a fresh interpreter whose
-    -S keeps site hooks from importing them first."""
+    -S keeps site hooks from importing them first.  A package module is
+    in sys.modules before it runs, as a LazyLoader proxy, a subclass of
+    ModuleType, until its first attribute access; so a module counts as
+    loaded when its type is ModuleType itself."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(volrig.__file__)))
-    code = ("import sys; sys.path.insert(0, %r); %s; "
-            "print([m for m in %r if m in sys.modules])" % (src, stmt, names))
+    code = ("import sys, types; sys.path.insert(0, %r); %s; "
+            "print([m for m in %r "
+            "if type(sys.modules.get(m)) is types.ModuleType])"
+            % (src, stmt, names))
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout
     return out.strip()
+
+
+PACKAGE = tuple("volrig." + m for m in (
+    "complexes", "cycles", "errors", "fileio", "linalg", "rigidity",
+    "shifting", "sparsity"))
+
+
+def test_each_job_executes_only_the_modules_it_runs(tmp_path):
+    assert loaded_after("import volrig", *PACKAGE) == "[]"
+    octa = os.path.join(tmp_path, "octa.txt")
+    write_complex(octahedron(), octa)
+    jobs = (("rigid", 0, ["complexes", "errors", "fileio", "linalg",
+                          "rigidity"]),
+            ("sparsity", 1, ["complexes", "errors", "fileio", "linalg",
+                             "sparsity"]),
+            ("contract", 0, ["complexes", "cycles", "errors", "fileio",
+                             "linalg"]),
+            ("homology", 0, ["complexes", "cycles", "errors", "fileio",
+                             "linalg"]),
+            ("sigma0", 0, ["complexes", "errors", "fileio", "linalg",
+                           "shifting"]))
+    # So rigid executes none of shifting, sparsity and cycles.
+    for command, code, modules in jobs:
+        stmt = ("from volrig.cli import run_command; "
+                "assert run_command(%r)[0] == %d"
+                % ([command, "--in", octa], code))
+        assert loaded_after(stmt, *PACKAGE) == repr(
+            ["volrig." + m for m in modules]), command
+
+
+# The package's public names, each defined in one of its modules.
+PUBLIC = (
+    "DEFAULT_PRIME DatasetReport ExactMatrix GF GF2 GenericBasis "
+    "MembershipReport PRIME_TABLE Placement PrimeField QQ RationalField "
+    "RigidityReport SimplicialComplex SparsityParams SurfaceDataset "
+    "VolrigError as_face boundary_matrix boundary_operator build_complex "
+    "build_counterexample characteristic_face characteristic_membership "
+    "characteristic_prefix columns_independent complete_complex "
+    "complete_to_sparse_basis componentwise_leq compound_vector cone "
+    "contract_edge contraction_reduce cycle_space facets_containing "
+    "format_complex generic_basis generic_rank greedy_sparse_basis "
+    "in_shifted_family is_face is_minimal_cycle is_sparse is_tight "
+    "is_volume_rigid k_faces load_dataset parse_complex "
+    "placement_from_basis random_placement read_complex relabel "
+    "remove_facet remove_facet_rigidity rigidity_boundary_identity "
+    "rigidity_matrix sample_generic_matrix shifted_level simplex_matrix "
+    "spanned_count trivial_motion_basis union_complex verify_dataset "
+    "wedge_map_matrix write_complex write_dataset").split()
+
+
+def test_lazy_package_keeps_its_public_names_and_a_silent_start(tmp_path):
+    # `python -m volrig.cli` finds volrig.cli unregistered, so runpy has
+    # nothing to warn about even when warnings are errors.
+    octa = os.path.join(tmp_path, "octa.txt")
+    write_complex(octahedron(), octa)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(volrig.__file__)))
+    p = subprocess.run([sys.executable, "-W", "error", "-m", "volrig.cli",
+                        "rigid", "--in", octa], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (p.returncode, p.stderr) == (0, "")
+    assert p.stdout.endswith("RIGID (trials=3, GF(4611686018427387847))\n")
+    assert len(PUBLIC) == 66
+    assert sorted(volrig.__all__) == sorted(PUBLIC)
+    star = {}
+    exec("from volrig import *", star)
+    for name in PUBLIC:
+        value = getattr(volrig, name)
+        assert name in dir(volrig)
+        assert star[name] is value
+    with pytest.raises(AttributeError):
+        volrig.no_such_name
 
 
 def test_cli_import_leaves_dataclasses_out():
@@ -713,7 +789,7 @@ def test_cli_counterexample_refuses_large_d_before_building(monkeypatch):
     def build(d):
         raise AssertionError("built the counterexample for d=%d" % d)
 
-    monkeypatch.setattr(volrig.cli, "build_counterexample", build)
+    monkeypatch.setattr(volrig.sparsity, "build_counterexample", build)
     for d in (39, 400):
         assert run_command(["counterexample", "--d", str(d),
                             "--trials", "1"]) == (
