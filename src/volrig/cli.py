@@ -18,9 +18,8 @@ from math import comb
 
 # Modules that only some subcommands reach are held as module references,
 # so a job executes only the ones its handler uses (see __init__).
-from . import complexes, cycles, fileio, rigidity, shifting, sparsity
+from . import complexes, cycles, fileio, linalg, rigidity, shifting, sparsity
 from .errors import BadParameters, VolrigError
-from .linalg import PRIME_TABLE, QQ, PrimeField, check_dense_size
 
 EXACT_SIZE_LIMIT = 24
 
@@ -131,7 +130,7 @@ def _cmd_psi(args, field, _):
         raise BadParameters("need 2 <= d <= n, got d=%d n=%d"
                             % (args.d, args.n))
     rows, cols = comb(args.n, args.d), (args.d - 1) * args.n
-    check_dense_size(rows, cols, "wedge map matrix")
+    linalg.check_dense_size(rows, cols, "wedge map matrix")
     best = 0
     for t in range(args.trials):
         basis = shifting.generic_basis(args.n, seed=args.seed + t,
@@ -191,8 +190,8 @@ def _cmd_counterexample(args, field, _):
     # Checked before building: the construction's rigidity matrix
     # (n = d + 4, f = 4d - 3) passes the limit from d = 39 on, and the
     # completion itself gets slow as d grows.  No d < 3 reaches the limit.
-    check_dense_size((args.d - 1) * (args.d + 4), 4 * args.d - 3,
-                     "rigidity matrix")
+    linalg.check_dense_size((args.d - 1) * (args.d + 4), 4 * args.d - 3,
+                            "rigidity matrix")
     K = sparsity.build_counterexample(args.d)
     params = sparsity.SparsityParams.volume_regime(args.d)
     tight = sparsity.is_tight(K, params)
@@ -217,7 +216,7 @@ def _cmd_contract(args, field, K):
         if len(parts) != 2:
             raise VolrigError("--edge wants `u,w`")
         try:
-            u, w = int(parts[0]), int(parts[1])
+            u, w = (fileio.base10_int(x) for x in parts)
         except ValueError:
             raise VolrigError("--edge wants two integers")
         result = complexes.contract_edge(K, u, w)
@@ -234,7 +233,7 @@ def _cmd_contract(args, field, K):
 
 
 def _cmd_homology(args, field, K):
-    coeff = cycles.GF2 if args.mod2 else QQ
+    coeff = cycles.GF2 if args.mod2 else linalg.QQ
     space = cycles.cycle_space(K, coeff)
     minimal = cycles.spans_minimal_cycle(space)
     arith = coeff.describe()
@@ -288,91 +287,97 @@ def _cmd_verify_dataset(args, field, _):
     return (0 if ok else 1), lines, obj
 
 
-def build_parser() -> argparse.ArgumentParser:
-    trials = argparse.ArgumentParser(add_help=False)
-    trials.add_argument("--trials", type=int, default=3,
-                        help="independent random samples (default 3)")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
-    seeded.add_argument("--prime", type=int, default=0, metavar="INDEX",
-                        help="index into the prime table (default 0)")
-    exact = argparse.ArgumentParser(add_help=False)
-    exact.add_argument("--exact", action="store_true",
-                       help="rational cross-check where size permits")
-    infile = argparse.ArgumentParser(add_help=False)
-    infile.add_argument("--in", dest="infile", required=True)
-    counts = argparse.ArgumentParser(add_help=False)
-    counts.add_argument("--a", type=int, default=None)
-    counts.add_argument("--b", type=int, default=None)
+def _arg(*flags, **kw):
+    return flags, kw
 
+
+# Option sets that several subcommands take, named in _SUBCOMMANDS.
+_PARENTS = {
+    "trials": (_arg("--trials", type=int, default=3,
+                    help="independent random samples (default 3)"),),
+    "seeded": (_arg("--seed", type=int, default=0),
+               _arg("--prime", type=int, default=0, metavar="INDEX",
+                    help="index into the prime table (default 0)")),
+    "exact": (_arg("--exact", action="store_true",
+                   help="rational cross-check where size permits"),),
+    "infile": (_arg("--in", dest="infile", required=True),),
+    "counts": (_arg("--a", type=int, default=None),
+               _arg("--b", type=int, default=None)),
+}
+_JSON = _arg("--json", action="store_true", help="machine-readable report")
+_OUT = _arg("--out", default=None)
+
+# Each subcommand's handler, option sets, help and own options, which
+# follow --json.  The full parser and each parser built alone are built
+# from this one table.
+_SUBCOMMANDS = {
+    "rank": (_cmd_rank, ("trials", "seeded", "exact", "infile"),
+             "generic rank of the rigidity matrix", ()),
+    "rigid": (_cmd_rank, ("trials", "seeded", "exact", "infile"),
+              "assert generic volume rigidity", ()),
+    "shift": (_cmd_shift, ("trials", "seeded", "infile"),
+              "members of the shifted family",
+              (_arg("--order", choices=("p", "lex"), default="p"),
+               _arg("--level", type=int, default=None,
+                    help="face size (default: facet cardinality)"))),
+    "sigma0": (_cmd_sigma0, ("trials", "seeded", "infile"),
+               "membership of the characteristic face", ()),
+    "psi": (_cmd_psi, ("trials", "seeded"),
+            "rank and kernel of the wedge map",
+            (_arg("--d", type=int, required=True),
+             _arg("--n", type=int, required=True))),
+    "sparsity": (_cmd_sparsity, ("infile", "counts"),
+                 "assert the sparsity counts", ()),
+    "tight": (_cmd_tight, ("infile", "counts"),
+              "assert sparsity with equality at V", ()),
+    "complete-basis": (_cmd_complete_basis, ("infile", "counts"),
+                       "greedy completion to a sparsity basis", (_OUT,)),
+    "counterexample": (_cmd_counterexample, ("trials", "seeded"),
+                       "tight but flexible complex for a given cardinality",
+                       (_arg("--d", type=int, required=True), _OUT)),
+    "contract": (_cmd_contract, ("infile",),
+                 "contract one edge, or reduce to a fixed point",
+                 (_arg("--edge", default=None, metavar="U,W"), _OUT)),
+    "homology": (_cmd_homology, ("infile",),
+                 "top cycle space and minimal-cycle flag",
+                 (_arg("--mod2", action="store_true",
+                       help="coefficients mod 2 instead of rationals"),)),
+    "boundary-id": (_cmd_boundary_id, ("seeded",),
+                    "random sweep of the rigidity-boundary identity",
+                    (_arg("--samples", type=int, default=50),)),
+    "verify-dataset": (_cmd_verify_dataset, ("trials", "seeded"),
+                       "check every complex of a dataset directory",
+                       (_arg("--name", default=None,
+                             help="subdirectory under the dataset root"),
+                        _arg("--dir", default=None,
+                             help="dataset root (overrides VOLRIG_DATA)"),
+                        _arg("--expect", type=int, default=None,
+                             help="required number of dataset entries"))),
+}
+
+
+def _fill(p, name):
+    """Add the subcommand's options to its parser, in the order of its help."""
+    handler, parents, _, own = _SUBCOMMANDS[name]
+    for flags, kw in [a for s in parents for a in _PARENTS[s]] + [_JSON, *own]:
+        p.add_argument(*flags, **kw)
+    p.set_defaults(handler=handler, parser=p, command=name)
+    return p
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given a subcommand's name, its
+    parser alone, with the prog, usage, help and errors it has inside the
+    full one."""
+    if command is not None:
+        return _fill(argparse.ArgumentParser(prog="volrig " + command),
+                     command)
     parser = argparse.ArgumentParser(
         prog="volrig",
         description="Exact volume-rigidity toolkit for simplicial complexes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, *parents, **kw):
-        p = sub.add_parser(name, parents=parents, **kw)
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable report")
-        p.set_defaults(handler=handler, parser=p)
-        return p
-
-    add("rank", _cmd_rank, trials, seeded, exact, infile,
-        help="generic rank of the rigidity matrix")
-    add("rigid", _cmd_rank, trials, seeded, exact, infile,
-        help="assert generic volume rigidity")
-
-    p = add("shift", _cmd_shift, trials, seeded, infile,
-            help="members of the shifted family")
-    p.add_argument("--order", choices=("p", "lex"), default="p")
-    p.add_argument("--level", type=int, default=None,
-                   help="face size (default: facet cardinality)")
-
-    add("sigma0", _cmd_sigma0, trials, seeded, infile,
-        help="membership of the characteristic face")
-
-    p = add("psi", _cmd_psi, trials, seeded,
-            help="rank and kernel of the wedge map")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    add("sparsity", _cmd_sparsity, infile, counts,
-        help="assert the sparsity counts")
-    add("tight", _cmd_tight, infile, counts,
-        help="assert sparsity with equality at V")
-
-    p = add("complete-basis", _cmd_complete_basis, infile, counts,
-            help="greedy completion to a sparsity basis")
-    p.add_argument("--out", default=None)
-
-    p = add("counterexample", _cmd_counterexample, trials, seeded,
-            help="tight but flexible complex for a given cardinality")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out", default=None)
-
-    p = add("contract", _cmd_contract, infile,
-            help="contract one edge, or reduce to a fixed point")
-    p.add_argument("--edge", default=None, metavar="U,W")
-    p.add_argument("--out", default=None)
-
-    p = add("homology", _cmd_homology, infile,
-            help="top cycle space and minimal-cycle flag")
-    p.add_argument("--mod2", action="store_true",
-                   help="coefficients mod 2 instead of rationals")
-
-    p = add("boundary-id", _cmd_boundary_id, seeded,
-            help="random sweep of the rigidity-boundary identity")
-    p.add_argument("--samples", type=int, default=50)
-
-    p = add("verify-dataset", _cmd_verify_dataset, trials, seeded,
-            help="check every complex of a dataset directory")
-    p.add_argument("--name", default=None,
-                   help="subdirectory under the dataset root")
-    p.add_argument("--dir", default=None,
-                   help="dataset root (overrides VOLRIG_DATA)")
-    p.add_argument("--expect", type=int, default=None,
-                   help="required number of dataset entries")
-
+    for name, (_, _, help_text, _) in _SUBCOMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -380,13 +385,17 @@ def run_command(argv) -> tuple:
     """Dispatch argv; returns (exit code, full report text).  Reads --in
     for the handler, and writes the keys every report shares: command, and
     trials, seed and arithmetic where it has --trials, --seed, --prime."""
-    parser = build_parser()
     buf = io.StringIO()
     try:
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
-            # Subparsers hand unknown arguments back to the top parser;
-            # refuse them with the subcommand's usage, which lists its flags.
-            args, extra = parser.parse_known_args(argv)
+            # A job that names its subcommand first builds only that
+            # subcommand's parser; anything else parses with all of them.
+            if argv and argv[0] in _SUBCOMMANDS:
+                args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+            else:
+                args, extra = build_parser().parse_known_args(argv)
+            # Unknown arguments are refused with the subcommand's usage,
+            # which lists its flags.
             if extra:
                 args.parser.error("unrecognized arguments: %s"
                                   % " ".join(extra))
@@ -395,10 +404,10 @@ def run_command(argv) -> tuple:
         return code, buf.getvalue()
     field = None
     if "prime" in args:
-        if args.prime < 0 or args.prime >= len(PRIME_TABLE):
+        if args.prime < 0 or args.prime >= len(linalg.PRIME_TABLE):
             return 2, "error: prime index %d outside 0..%d\n" % (
-                args.prime, len(PRIME_TABLE) - 1)
-        field = PrimeField(PRIME_TABLE[args.prime])
+                args.prime, len(linalg.PRIME_TABLE) - 1)
+        field = linalg.PrimeField(linalg.PRIME_TABLE[args.prime])
     for key, cap in COUNT_CAPS:
         if getattr(args, key, 0) > cap:
             return 2, "error: %s must be at most %d\n" % (key, cap)

@@ -38,9 +38,18 @@ def _records(text: str, comments: list | None = None):
             yield no, line.split()
 
 
+def base10_int(text: str) -> int:
+    """The integer that text spells as an optional sign and ASCII digits.
+    ValueError for anything else, such as "1_0", " 1" or non-ASCII
+    digits, which int() alone would read."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError("not a base-10 integer: %r" % text)
+    return int(text)  # refuses a second sign
+
+
 def _ints(parts: list, what: str, no: int) -> tuple:
     try:
-        return tuple(int(x) for x in parts)
+        return tuple(base10_int(x) for x in parts)
     except ValueError:
         raise ParseError("%s must be integers" % what, no)
 

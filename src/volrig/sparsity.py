@@ -31,9 +31,9 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
+from . import linalg
 from .complexes import SimplicialComplex, build_complex, cone
 from .errors import BadParameters, InstanceTooLarge, NotSparse
-from .linalg import MAX_DENSE_ENTRIES
 
 
 class SparsityParams(namedtuple("SparsityParams", "a b d")):
@@ -174,14 +174,17 @@ def is_tight(K: SimplicialComplex, params: SparsityParams) -> bool:
 
 def _greedy_complete(n: int, params: SparsityParams, start_facets):
     """Add lex-ordered candidates while the pebble game accepts them, up
-    to the tight count a n - b, which is refused above MAX_DENSE_ENTRIES.
+    to the tight count a n - b, which is refused above the entry limit.
+    The limit is read from linalg when checked, so only a completion
+    executes linalg.
     Outside the matroidal range no candidate is added: a lone d-set
     already violates the bound."""
     have = set(start_facets)
     target = params.bound(n)
-    if target > MAX_DENSE_ENTRIES:
+    limit = linalg.MAX_DENSE_ENTRIES
+    if target > limit:
         raise InstanceTooLarge("completion would hold %d facets, above the "
-                               "%d-entry limit" % (target, MAX_DENSE_ENTRIES))
+                               "%d-entry limit" % (target, limit))
     if not _in_range(params):
         return sorted(have)
     game = _PebbleGame(params.a, params.b)

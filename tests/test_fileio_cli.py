@@ -1,5 +1,6 @@
 """File format, dataset loading, and command-line behavior."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -17,10 +18,11 @@ from helpers import (csaszar_torus, fresh_rng, make_dataset, octahedron,
                      projective_plane_six, stacked_sphere, tetra)
 from volrig import build_complex, cone, generic_rank, verify_dataset
 from volrig.cli import main, run_command
-from volrig.errors import DatasetError, ParseError
-from volrig.fileio import (dataset_root, format_complex, load_dataset,
-                           parse_complex, parse_manifest, read_complex,
-                           sha256_file, write_complex, write_dataset)
+from volrig.errors import DatasetError, InvalidFace, ParseError
+from volrig.fileio import (base10_int, dataset_root, format_complex,
+                           load_dataset, parse_complex, parse_manifest,
+                           read_complex, sha256_file, write_complex,
+                           write_dataset)
 from volrig.sparsity import bipartite_complete_graph
 
 TETRA_TEXT = "4 3\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
@@ -63,6 +65,31 @@ def test_parse_complex_errors_carry_line_numbers():
         with pytest.raises(ParseError) as err:
             parse_complex(text)
         assert str(err.value) == message
+
+
+def test_integer_fields_are_a_sign_and_ascii_digits():
+    # int() alone reads "1_0" as 10, and also takes surrounding spaces
+    # and non-ASCII digits; the format has base-10 integers only.
+    assert [base10_int(t) for t in ("7", "+7", "-7", "007")] == [7, 7, -7, 7]
+    for text in ("1_0", " 1", "1 ", "", "+", "+-1", "--1", "1.0", "0x1",
+                 "\u0663", "\u00b2"):
+        with pytest.raises(ValueError):
+            base10_int(text)
+    for text, message in (
+            ("1_0 3\n1 2 3\n", "line 1: header entries must be integers"),
+            ("5 3\n1 2 3\n1 2 0_4\n",
+             "line 3: vertex labels must be integers"),
+            ("5 3\n1 2 \u0663\n", "line 2: vertex labels must be integers")):
+        with pytest.raises(ParseError) as err:
+            parse_complex(text)
+        assert str(err.value) == message
+    # A sign is still read, so a negative label reaches build_complex.
+    assert parse_complex("+4 3\n1 2 +3\n") == build_complex(4, [(1, 2, 3)])
+    with pytest.raises(InvalidFace, match="positive ints, got -3"):
+        parse_complex("4 3\n1 2 -3\n")
+    with pytest.raises(ParseError) as err:
+        parse_manifest("octa.txt 6 1_0 abcd\n")
+    assert str(err.value) == "line 1: manifest counts must be integers"
 
 
 def test_format_complex_canonical():
@@ -547,6 +574,62 @@ def test_cli_subcommand_takes_only_the_flags_it_reads(command):
             assert "unrecognized arguments: %s" % flag in text
 
 
+def full_subparsers():
+    parser = volrig.cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_a_subparser_built_alone_is_the_one_in_the_full_parser():
+    subparsers = full_subparsers()
+    assert list(subparsers) == list(volrig.cli._SUBCOMMANDS)
+    assert sorted(subparsers) == sorted(FLAG_TABLE)
+    for name, inside in subparsers.items():
+        alone = volrig.cli.build_parser(name)
+        assert alone.prog == inside.prog == "volrig " + name
+        assert alone.format_help() == inside.format_help(), name
+        assert alone.format_usage() == inside.format_usage(), name
+
+
+def test_run_command_parses_as_the_full_parser(tmp_path, monkeypatch):
+    octa = os.path.join(tmp_path, "octa.txt")
+    write_complex(octahedron(), octa)
+    argvs = ([], ["-h"], ["bogus"], ["--json", "rigid"], ["rigid"],
+             ["rigid", "--in", octa, "--bogus"], ["rigid", "--in", octa],
+             ["tight", "--in", octa, "--json"], ["psi", "--d", "3"])
+    fast = [run_command(argv) for argv in argvs]
+
+    class NoneAlone(dict):
+        """The same table, but no argv names a subcommand to build alone."""
+        def __contains__(self, name):
+            return False
+
+    monkeypatch.setattr(volrig.cli, "_SUBCOMMANDS",
+                        NoneAlone(volrig.cli._SUBCOMMANDS))
+    assert fast == [run_command(argv) for argv in argvs]
+    assert [code for code, _ in fast] == [2, 0, 2, 2, 2, 2, 0, 1, 2]
+
+
+def test_a_job_builds_only_its_own_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+    for command, (base, _, _) in FLAG_TABLE.items():
+        built.clear()
+        assert run_command([command] + base + ["--bogus"])[0] == 2
+        assert built == ["volrig " + command]
+    built.clear()
+    assert run_command(["bogus"])[0] == 2
+    assert built == ["volrig"] + ["volrig " + c
+                                  for c in volrig.cli._SUBCOMMANDS]
+
+
 def simplex_boundary(tmp_path, n):
     """File of the boundary of the (n-1)-simplex: n facets of size n - 1."""
     path = os.path.join(tmp_path, "simplex%d.txt" % (n - 1))
@@ -621,23 +704,34 @@ PACKAGE = tuple("volrig." + m for m in (
 
 def test_each_job_executes_only_the_modules_it_runs(tmp_path):
     assert loaded_after("import volrig", *PACKAGE) == "[]"
+    assert loaded_after("from volrig.cli import run_command",
+                        *PACKAGE) == "['volrig.errors']"
     octa = os.path.join(tmp_path, "octa.txt")
     write_complex(octahedron(), octa)
-    jobs = (("rigid", 0, ["complexes", "errors", "fileio", "linalg",
-                          "rigidity"]),
-            ("sparsity", 1, ["complexes", "errors", "fileio", "linalg",
-                             "sparsity"]),
-            ("contract", 0, ["complexes", "cycles", "errors", "fileio",
-                             "linalg"]),
-            ("homology", 0, ["complexes", "cycles", "errors", "fileio",
-                             "linalg"]),
-            ("sigma0", 0, ["complexes", "errors", "fileio", "linalg",
-                           "shifting"]))
-    # So rigid executes none of shifting, sparsity and cycles.
-    for command, code, modules in jobs:
+    flex = os.path.join(tmp_path, "flex.txt")
+    write_complex(cone(bipartite_complete_graph()), flex)
+    counts = ["complexes", "errors", "fileio", "sparsity"]
+    jobs = (("rigid", octa, 0, ["complexes", "errors", "fileio", "linalg",
+                                "rigidity"]),
+            ("sparsity", octa, 1, counts),
+            ("tight", octa, 1, counts),
+            # The octahedron is refused before any completion: not sparse.
+            ("complete-basis", octa, 2, counts),
+            # A completion reads the entry limit, which linalg holds.
+            ("complete-basis", flex, 0, ["complexes", "errors", "fileio",
+                                         "linalg", "sparsity"]),
+            ("contract", octa, 0, ["complexes", "cycles", "errors", "fileio",
+                                   "linalg"]),
+            ("homology", octa, 0, ["complexes", "cycles", "errors", "fileio",
+                                   "linalg"]),
+            ("sigma0", octa, 0, ["complexes", "errors", "fileio", "linalg",
+                                 "shifting"]))
+    # So rigid executes none of shifting, sparsity and cycles, and the
+    # sparsity counts need no matrix.
+    for command, path, code, modules in jobs:
         stmt = ("from volrig.cli import run_command; "
                 "assert run_command(%r)[0] == %d"
-                % ([command, "--in", octa], code))
+                % ([command, "--in", path], code))
         assert loaded_after(stmt, *PACKAGE) == repr(
             ["volrig." + m for m in modules]), command
 
@@ -806,8 +900,9 @@ def test_cli_contract_single_edge(tmp_path):
     assert "n 5 d 3 facets 6" in text
     code, text = run_command(["contract", "--in", path, "--edge", "1-2"])
     assert code == 2
-    code, text = run_command(["contract", "--in", path, "--edge", "1,x"])
-    assert (code, text) == (2, "error: --edge wants two integers\n")
+    for edge in ("1,x", "0_1,2", "1, 2"):
+        code, text = run_command(["contract", "--in", path, "--edge", edge])
+        assert (code, text) == (2, "error: --edge wants two integers\n")
 
 
 def test_cli_contract_reduce(tmp_path):
