@@ -19,7 +19,7 @@ from math import comb
 # Modules that only some subcommands reach are held as module references,
 # so a job executes only the ones its handler uses (see __init__).
 from . import complexes, cycles, fileio, linalg, rigidity, shifting, sparsity
-from .errors import BadParameters, VolrigError
+from .errors import BadParameters, VolrigError, base10_int
 
 EXACT_SIZE_LIMIT = 24
 
@@ -216,7 +216,7 @@ def _cmd_contract(args, field, K):
         if len(parts) != 2:
             raise VolrigError("--edge wants `u,w`")
         try:
-            u, w = (fileio.base10_int(x) for x in parts)
+            u, w = (base10_int(x) for x in parts)
         except ValueError:
             raise VolrigError("--edge wants two integers")
         result = complexes.contract_edge(K, u, w)
@@ -293,16 +293,16 @@ def _arg(*flags, **kw):
 
 # Option sets that several subcommands take, named in _SUBCOMMANDS.
 _PARENTS = {
-    "trials": (_arg("--trials", type=int, default=3,
+    "trials": (_arg("--trials", type=base10_int, default=3,
                     help="independent random samples (default 3)"),),
-    "seeded": (_arg("--seed", type=int, default=0),
-               _arg("--prime", type=int, default=0, metavar="INDEX",
+    "seeded": (_arg("--seed", type=base10_int, default=0),
+               _arg("--prime", type=base10_int, default=0, metavar="INDEX",
                     help="index into the prime table (default 0)")),
     "exact": (_arg("--exact", action="store_true",
                    help="rational cross-check where size permits"),),
     "infile": (_arg("--in", dest="infile", required=True),),
-    "counts": (_arg("--a", type=int, default=None),
-               _arg("--b", type=int, default=None)),
+    "counts": (_arg("--a", type=base10_int, default=None),
+               _arg("--b", type=base10_int, default=None)),
 }
 _JSON = _arg("--json", action="store_true", help="machine-readable report")
 _OUT = _arg("--out", default=None)
@@ -318,14 +318,14 @@ _SUBCOMMANDS = {
     "shift": (_cmd_shift, ("trials", "seeded", "infile"),
               "members of the shifted family",
               (_arg("--order", choices=("p", "lex"), default="p"),
-               _arg("--level", type=int, default=None,
+               _arg("--level", type=base10_int, default=None,
                     help="face size (default: facet cardinality)"))),
     "sigma0": (_cmd_sigma0, ("trials", "seeded", "infile"),
                "membership of the characteristic face", ()),
     "psi": (_cmd_psi, ("trials", "seeded"),
             "rank and kernel of the wedge map",
-            (_arg("--d", type=int, required=True),
-             _arg("--n", type=int, required=True))),
+            (_arg("--d", type=base10_int, required=True),
+             _arg("--n", type=base10_int, required=True))),
     "sparsity": (_cmd_sparsity, ("infile", "counts"),
                  "assert the sparsity counts", ()),
     "tight": (_cmd_tight, ("infile", "counts"),
@@ -334,7 +334,7 @@ _SUBCOMMANDS = {
                        "greedy completion to a sparsity basis", (_OUT,)),
     "counterexample": (_cmd_counterexample, ("trials", "seeded"),
                        "tight but flexible complex for a given cardinality",
-                       (_arg("--d", type=int, required=True), _OUT)),
+                       (_arg("--d", type=base10_int, required=True), _OUT)),
     "contract": (_cmd_contract, ("infile",),
                  "contract one edge, or reduce to a fixed point",
                  (_arg("--edge", default=None, metavar="U,W"), _OUT)),
@@ -344,14 +344,14 @@ _SUBCOMMANDS = {
                        help="coefficients mod 2 instead of rationals"),)),
     "boundary-id": (_cmd_boundary_id, ("seeded",),
                     "random sweep of the rigidity-boundary identity",
-                    (_arg("--samples", type=int, default=50),)),
+                    (_arg("--samples", type=base10_int, default=50),)),
     "verify-dataset": (_cmd_verify_dataset, ("trials", "seeded"),
                        "check every complex of a dataset directory",
                        (_arg("--name", default=None,
                              help="subdirectory under the dataset root"),
                         _arg("--dir", default=None,
                              help="dataset root (overrides VOLRIG_DATA)"),
-                        _arg("--expect", type=int, default=None,
+                        _arg("--expect", type=base10_int, default=None,
                              help="required number of dataset entries"))),
 }
 

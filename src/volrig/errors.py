@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one reader of
+integers in files and options."""
+
+
+def base10_int(text: str) -> int:
+    """The integer that text spells as an optional sign and ASCII digits.
+    ValueError for anything else, such as "1_0", " 1" or non-ASCII
+    digits, which int() alone would read.  Complex files, manifests,
+    contract --edge and every integer option of the command line read
+    their integers with it."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError("not a base-10 integer: %r" % text)
+    return int(text)  # refuses a second sign
 
 
 class VolrigError(Exception):

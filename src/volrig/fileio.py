@@ -19,7 +19,7 @@ import os
 from collections import namedtuple
 
 from .complexes import SimplicialComplex, build_complex
-from .errors import DatasetError, ParseError
+from .errors import DatasetError, ParseError, base10_int
 
 ENV_DATA_DIR = "VOLRIG_DATA"
 
@@ -36,15 +36,6 @@ def _records(text: str, comments: list | None = None):
                 comments.append(line)
         elif line:
             yield no, line.split()
-
-
-def base10_int(text: str) -> int:
-    """The integer that text spells as an optional sign and ASCII digits.
-    ValueError for anything else, such as "1_0", " 1" or non-ASCII
-    digits, which int() alone would read."""
-    if not (text.isascii() and text.lstrip("+-").isdigit()):
-        raise ValueError("not a base-10 integer: %r" % text)
-    return int(text)  # refuses a second sign
 
 
 def _ints(parts: list, what: str, no: int) -> tuple:

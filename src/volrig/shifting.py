@@ -298,37 +298,6 @@ def in_shifted_family(K: SimplicialComplex, sigma, basis: GenericBasis,
     return not _predecessor_span(K, sigma, basis, order).in_column_span(vec)
 
 
-def shifted_level_ordered(K: SimplicialComplex, k: int, basis: GenericBasis,
-                          face_order) -> list:
-    """Members at size k under an explicit total order on size-k sets.
-
-    face_order must list every size-k subset of the label range exactly
-    once.  A greedy streaming test suffices for total orders: the span
-    of all earlier vectors equals the span of the earlier members, kept
-    here as the semi-echelon rows (linalg.echelon_insert) of the members
-    found so far.  Once they span all of K's size-k faces no later
-    vector can escape, and the walk stops.
-    """
-    _check_level(K, k)
-    expected = set(combinations(range(1, basis.n + 1), k))
-    order_list = [as_face(t) for t in face_order]
-    if len(order_list) != len(expected) or set(order_list) != expected:
-        raise BadParameters("face_order must enumerate all size-%d subsets" % k)
-    face_rows = _face_rows(K, k, basis)
-    _check_reductions(face_rows, basis.n)
-    members, rows = [], []
-    for sigma in order_list:
-        if len(rows) == len(face_rows):
-            break
-        cols = tuple(s - 1 for s in sigma)
-        row, _ = echelon_insert(rows, [basis.minor(f, cols)
-                                       for f in face_rows], basis.field)
-        if row:
-            members.append(sigma)
-            rows.append(row)
-    return sorted(members)
-
-
 def _covers(sigma):
     """Each set just below sigma, with entry i lowered by one, as (i, set)."""
     for i, s in enumerate(sigma):
@@ -339,6 +308,22 @@ def _covers(sigma):
 def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
                   order: str = "p") -> list:
     """All size-k members of the shifted family, sorted lex.
+
+    Under lex the levels k = 1..d make up Kalai's exterior shift Delta(K):
+    a shifted complex with as many size-k sets as K has size-k faces,
+    off which K's reduced Betti numbers read as b_{k-1}(K) = #{S in level
+    k : 1 not in S, {1} + S not in level k+1} (Bjorner and Kalai).  Under the
+    partial order the family is the one whose characteristic face
+    decides volume rigidity; its levels can hold more sets than K has
+    size-k faces, and from d = 4 on a rigid complex's characteristic
+    face can lie outside the lex level.
+
+    Lex is a total order, so the span of all earlier vectors is the span
+    of the earlier members, kept as the semi-echelon rows
+    (linalg.echelon_insert) of the members found so far, and a set is a
+    member when its vector escapes them.  The sets are drawn lazily, and
+    once the rows span all of K's size-k faces no later vector can
+    escape, so the walk stops there.
 
     For the partial order the sets are walked in lex order, which extends
     the partial order, so each set comes after its whole down-set.  The
@@ -357,15 +342,24 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
     dimension (one row per size-k face of K) admits no member above it,
     so such a set skips the merge and its own vector.
     """
-    if order == "lex":
-        return shifted_level_ordered(
-            K, k, basis, combinations(range(1, basis.n + 1), k))
     _check_level(K, k)
-    if order != "p":
+    if order not in ("p", "lex"):
         raise BadParameters("order must be 'p' or 'lex', got %r" % (order,))
     face_rows = _face_rows(K, k, basis)
     _check_reductions(face_rows, basis.n)
     field = basis.field
+    if order == "lex":
+        members, rows = [], []
+        for sigma in combinations(range(1, basis.n + 1), k):
+            if len(rows) == len(face_rows):
+                break
+            cols = tuple(s - 1 for s in sigma)
+            row, _ = echelon_insert(rows, [basis.minor(f, cols)
+                                           for f in face_rows], field)
+            if row:
+                members.append(sigma)
+                rows.append(row)
+        return members
     vecs, spans = {}, {}
     for sigma in combinations(range(1, basis.n + 1), k):
         # Only the first set, before any member, has no cover.
@@ -385,7 +379,7 @@ def shifted_level(K: SimplicialComplex, k: int, basis: GenericBasis,
                 rows.append(row)
                 vecs[sigma] = vec
         spans[sigma] = rows
-    return sorted(vecs)
+    return list(vecs)
 
 
 def shifted_level_stable(K: SimplicialComplex, k: int, order: str = "p",

@@ -113,20 +113,6 @@ def cone_with_smallest_apex(L):
     return relabel(cone(L), perm)
 
 
-def random_linear_extension(rng, n, k):
-    """Total order on size-k sets refining the componentwise order."""
-    remaining = set(combinations(range(1, n + 1), k))
-    out = []
-    while remaining:
-        minimal = sorted(s for s in remaining
-                         if not any(t != s and componentwise_leq(t, s)
-                                    for t in remaining))
-        pick = rng.choice(minimal)
-        out.append(pick)
-        remaining.discard(pick)
-    return out
-
-
 def make_dataset(dirpath, complexes):
     """Dataset directory of handmade complexes, in fileio's layout."""
     write_dataset(dirpath, complexes, "# source: handmade")

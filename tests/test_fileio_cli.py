@@ -905,6 +905,26 @@ def test_cli_contract_single_edge(tmp_path):
         assert (code, text) == (2, "error: --edge wants two integers\n")
 
 
+def test_integer_options_take_only_a_sign_and_ascii_digits(tmp_path):
+    # Options read their integers as files do: int() alone would rank
+    # n = 10 for "1_0" and run two trials for " 2".
+    octa = os.path.join(tmp_path, "octa.txt")
+    write_complex(octahedron(), octa)
+    for argv, flag, value in (
+            (["psi", "--d", "3", "--n", "1_0", "--trials", "1"], "--n",
+             "1_0"),
+            (["rigid", "--in", octa, "--trials", " 2"], "--trials", " 2"),
+            (["shift", "--in", octa, "--level", "\u0663"], "--level",
+             "\u0663")):
+        code, text = run_command(argv)
+        assert code == 2, argv
+        assert text.startswith("usage: volrig %s " % argv[0])
+        assert "error: argument %s: invalid base10_int value: %r" % (
+            flag, value) in text
+    assert run_command(["psi", "--d", "3", "--n", "+5", "--trials", "1"])[0] \
+        == 0
+
+
 def test_cli_contract_reduce(tmp_path):
     path = os.path.join(tmp_path, "octa.txt")
     write_complex(octahedron(), path)

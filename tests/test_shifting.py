@@ -8,19 +8,21 @@ import pytest
 
 import volrig.shifting
 from helpers import (cofactor, compound_vector_by_minors,
-                     cone_with_smallest_apex, fresh_rng,
-                     predecessor_span_by_minors, random_complex,
-                     random_linear_extension, random_shifted_complex,
-                     stacked_sphere, submatrix, tetra)
+                     cone_with_smallest_apex, csaszar_torus, fresh_rng,
+                     octahedron, predecessor_span_by_minors,
+                     projective_plane_six, random_complex,
+                     random_shifted_complex, stacked_sphere, submatrix,
+                     tetra)
 from volrig import (build_complex, complete_complex, cone, k_faces)
-from volrig.cycles import verify_dataset
+from volrig.cycles import boundary_operator, verify_dataset
 from volrig.errors import (BadParameters, DimensionMismatch,
                            GenericityFailure, InstanceTooLarge,
                            SingularBasis, SizeExceedsDimension)
 from volrig.fileio import SurfaceDataset
 from volrig.linalg import (GF, QQ, ExactMatrix, PrimeField,
                            sample_generic_matrix)
-from volrig.rigidity import is_volume_rigid, rigidity_matrix, simplex_matrix
+from volrig.rigidity import (generic_rank, is_volume_rigid, rigidity_matrix,
+                             simplex_matrix)
 from volrig.shifting import (GenericBasis, _predecessor_count,
                              _predecessor_span, _predecessors,
                              characteristic_face,
@@ -28,8 +30,8 @@ from volrig.shifting import (GenericBasis, _predecessor_count,
                              characteristic_prefix, componentwise_leq,
                              compound_vector, generic_basis,
                              in_shifted_family, placement_from_basis,
-                             shifted_level, shifted_level_ordered,
-                             shifted_level_stable, wedge_map_matrix)
+                             shifted_level, shifted_level_stable,
+                             wedge_map_matrix)
 from volrig.sparsity import bipartite_complete_graph, build_counterexample
 
 
@@ -282,12 +284,96 @@ def test_level_membership_matches_definitional_test():
                     assert lex[-1] < tuple(range(n - k + 1, n + 1))
 
 
+def _lex_shift(K, b):
+    """Kalai's exterior shift Delta(K) at basis b: level k of
+    shifted_level under lex, as a set, for k = 1..d."""
+    return {k: set(shifted_level(K, k, b, "lex")) for k in range(1, K.d + 1)}
+
+
 def test_lex_level_preserves_facet_count():
+    # Kalai ("Algebraic shifting"): the lex levels form a shifted complex
+    # Delta(K) with K's f-vector.  So each level has as many sets as K has
+    # faces of that size, holds the down-set of each of its sets, and
+    # holds every subset of a member one size down.  A characteristic
+    # face in Delta(K) then puts its whole down-set D there, which gives
+    # M_D full rank, so K is rigid; that branch must be met.
     rng = fresh_rng(19)
-    for _ in range(8):
-        K = random_complex(rng, 6, 3)
-        b = generic_basis(6, seed=rng.randrange(10 ** 6))
-        assert len(shifted_level(K, 3, b, order="lex")) == K.num_facets
+    inside = 0
+    for _ in range(45):
+        d = rng.randint(3, 5)
+        K = random_complex(rng, rng.randint(d + 1, d + 4), d)
+        b = generic_basis(K.n, seed=rng.randrange(10 ** 6))
+        shift = _lex_shift(K, b)
+        for k, level in shift.items():
+            assert len(level) == len(k_faces(K, k - 1)), (k, K.facets)
+            for sigma in level:
+                assert set(_predecessors(sigma, K.n, "p")) <= level
+                if k > 1:
+                    assert set(combinations(sigma, k - 1)) <= shift[k - 1]
+        if characteristic_face(d, K.n) in shift[d]:
+            assert is_volume_rigid(K), K.facets
+            inside += 1
+    assert inside
+
+
+def _reduced_betti(K):
+    """Reduced Betti numbers b_0, ..., b_{d-1} of K over QQ: b_{k-1} =
+    f_{k-1} - rank d_k - rank d_{k+1}, with d_k the boundary from
+    size-k faces (cycles.boundary_operator), d_1 the augmentation, of
+    rank 1, and d_{d+1} = 0."""
+    ranks = [1] + [boundary_operator(K, k, QQ).rank()
+                   for k in range(2, K.d + 1)] + [0]
+    return [len(k_faces(K, k - 1)) - ranks[k - 1] - ranks[k]
+            for k in range(1, K.d + 1)]
+
+
+def _shifted_betti(shift):
+    """Bjorner and Kalai's count b_{k-1} = #{S in Delta_k : 1 not in S,
+    {1} + S not in Delta_{k+1}}, for k = 1..d."""
+    return [sum(S[0] != 1 and (1,) + S not in shift.get(k + 1, ())
+                for S in level) for k, level in sorted(shift.items())]
+
+
+def test_lex_shift_gives_reduced_betti_numbers():
+    # Bjorner and Kalai ("An extended Euler-Poincare theorem"): Delta(K)
+    # gives K's reduced Betti numbers, here checked against boundary
+    # ranks over QQ at every level, on the octahedron, the Csaszar torus
+    # and the 6-vertex RP^2 (whose rational homology vanishes), and on
+    # random complexes.
+    for K, betti in ((octahedron(), [0, 0, 1]), (csaszar_torus(), [0, 2, 1]),
+                     (projective_plane_six(), [0, 0, 0])):
+        assert _reduced_betti(K) == betti
+        assert _shifted_betti(_lex_shift(K, generic_basis(K.n, 1))) == betti
+    rng = fresh_rng(47)
+    for _ in range(40):
+        d = rng.randint(2, 5)
+        K = random_complex(rng, rng.randint(d + 1, d + 4), d)
+        b = generic_basis(K.n, seed=rng.randrange(10 ** 6))
+        assert _shifted_betti(_lex_shift(K, b)) == _reduced_betti(K), \
+            K.facets
+
+
+def test_rigidity_needs_the_partial_order_from_d4():
+    # This d = 4 complex on 6 vertices is rigid (rank 7, the target) and
+    # its characteristic face (1, 3, 4, 6) is a member, so it lies in the
+    # partial-order level, which holds 9 sets against 7 facets; yet it
+    # lies outside the lex level.  That verdict is Monte Carlo:
+    # shifted_level_stable demands that its three bases agree.  The
+    # octahedron's level 3 holds 10 sets under p and its 8 facets
+    # under lex.
+    K = build_complex(6, [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 6),
+                          (1, 3, 4, 5), (1, 3, 5, 6), (2, 3, 5, 6),
+                          (3, 4, 5, 6)])
+    rep = generic_rank(K)
+    assert rep.generic_rank == rep.target_rank == 7 and rep.is_rigid
+    assert characteristic_membership(K).member
+    face = characteristic_face(4, 6)
+    assert face == (1, 3, 4, 6)
+    assert face not in shifted_level_stable(K, 4, "lex")
+    p_level = shifted_level_stable(K, 4, "p")
+    assert face in p_level and len(p_level) == 9
+    assert len(shifted_level_stable(octahedron(), 3, "p")) == 10
+    assert len(shifted_level_stable(octahedron(), 3, "lex")) == 8
 
 
 def test_partial_order_level_contains_lex_level():
@@ -330,23 +416,6 @@ def test_level_monotone_under_subcomplex():
         sub = build_complex(6, K.facets[:-1])
         b = generic_basis(6, seed=rng.randrange(10 ** 6))
         assert set(shifted_level(sub, 3, b)) <= set(shifted_level(K, 3, b))
-
-
-def test_random_linear_extension_within_partial_level():
-    rng = fresh_rng(41)
-    for _ in range(5):
-        K = random_complex(rng, 5, 3)
-        b = generic_basis(5, seed=rng.randrange(10 ** 6))
-        ext = random_linear_extension(rng, 5, 3)
-        assert set(shifted_level_ordered(K, 3, b, ext)) <= \
-            set(shifted_level(K, 3, b))
-
-
-def test_shifted_level_ordered_validates_order():
-    K = tetra()
-    b = generic_basis(4, seed=0)
-    with pytest.raises(BadParameters):
-        shifted_level_ordered(K, 3, b, [(1, 2, 3)])
 
 
 def test_shifted_level_stable_retries_one_round(monkeypatch):
